@@ -79,7 +79,7 @@ func BenchmarkTable2SegmentationSmall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	solver, err := NewSolver(app, Config{Backend: SoftwareGibbs, Iterations: 1, Seed: 2})
+	solver, err := NewSolver(app, Config{BackendName: "software-gibbs", Iterations: 1, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func BenchmarkTable2SegmentationHD(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	solver, err := NewSolver(app, Config{Backend: RSU, Iterations: 1, Seed: 2})
+	solver, err := NewSolver(app, Config{BackendName: "rsu", Iterations: 1, Seed: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func BenchmarkTable2MotionSmall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	solver, err := NewSolver(app, Config{Backend: SoftwareGibbs, Iterations: 1, Seed: 4})
+	solver, err := NewSolver(app, Config{BackendName: "software-gibbs", Iterations: 1, Seed: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func BenchmarkTable2MotionHD(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	solver, err := NewSolver(app, Config{Backend: RSU, RSUWidth: 4, Iterations: 1, Seed: 4})
+	solver, err := NewSolver(app, Config{BackendName: "rsu", RSUWidth: 4, Iterations: 1, Seed: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -369,14 +369,15 @@ func BenchmarkPipelineThroughputM49(b *testing.B) {
 	b.ReportMetric(stats.ThroughputCyclesPerVariable, "cycles/var")
 }
 
-// --- Sweep engine (BENCH_sweep.json) ---------------------------------
+// --- Sweep engine -----------------------------------------------------
 
 // BenchmarkSweepEngine runs a full segmentation solve through the
 // façade with and without the compiled sweep fast path
-// (Config.Compile). The per-site numbers behind the committed
-// BENCH_sweep.json come from internal/bench (`make sweep-report`);
-// this benchmark shows the same speedup end to end, label maps
-// bit-identical between the two sub-benchmarks.
+// (Config.Compile). The per-site sweep and solve costs of the paper's
+// apps are measured layer by layer by perfbench
+// (gibbs.sweep_ns_per_site.* and core.solve_ns_per_site.*, run with
+// `bash perfbench/run.sh`); this benchmark shows the compiled speedup
+// end to end, label maps bit-identical between the two sub-benchmarks.
 func BenchmarkSweepEngine(b *testing.B) {
 	b.ReportAllocs()
 	for _, compiled := range []bool{false, true} {
@@ -392,7 +393,7 @@ func BenchmarkSweepEngine(b *testing.B) {
 				b.Fatal(err)
 			}
 			solver, err := NewSolver(app, Config{
-				Backend: SoftwareGibbs, Iterations: 4,
+				BackendName: "software-gibbs", Iterations: 4,
 				Compile: compiled, Seed: 2,
 			})
 			if err != nil {

@@ -112,16 +112,6 @@ func main() {
 }
 
 func run(ctx context.Context, appName, backendName string, width, iters, burn int, inPath string, labels, size int, outDir string, seed uint64, order int, ckpt *core.CheckpointSpec, rec *obs.Registry) error {
-	// Legacy spellings predating the registry names stay accepted.
-	switch backendName {
-	case "software":
-		backendName = "software-gibbs"
-	case "first-to-fire":
-		backendName = "software-first-to-fire"
-	}
-	if _, err := core.ParseBackend(backendName); err != nil {
-		return err
-	}
 	cfg := core.Config{
 		BackendName: backendName, RSUWidth: width,
 		Iterations: iters, BurnIn: burn, Seed: seed,
@@ -131,6 +121,11 @@ func run(ctx context.Context, appName, backendName string, width, iters, burn in
 		// Assigned only when non-nil: a nil *obs.Registry inside the
 		// interface would dodge the recorder's nil fast path.
 		cfg.Recorder = rec
+	}
+	// Fail fast on a bad backend name or chain budget, before any scene
+	// is synthesized or read.
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	src := rng.New(seed)
 

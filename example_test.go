@@ -16,7 +16,7 @@ func ExampleNewSolver() {
 		panic(err)
 	}
 	solver, err := rsugibbs.NewSolver(app, rsugibbs.Config{
-		Backend: rsugibbs.RSU, Iterations: 60, BurnIn: 20, Seed: 7,
+		BackendName: "rsu", Iterations: 60, BurnIn: 20, Seed: 7,
 	})
 	if err != nil {
 		panic(err)

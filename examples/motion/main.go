@@ -27,15 +27,15 @@ func main() {
 	fmt.Println("dense motion estimation, 128x128, M=49 (7x7 window)")
 	for _, v := range []struct {
 		name    string
-		backend rsugibbs.Backend
+		backend string
 		width   int
 	}{
-		{"exact software Gibbs", rsugibbs.SoftwareGibbs, 0},
-		{"RSU-G1 (emulated)", rsugibbs.RSU, 1},
-		{"RSU-G4 (emulated)", rsugibbs.RSU, 4},
+		{"exact software Gibbs", "software-gibbs", 0},
+		{"RSU-G1 (emulated)", "rsu", 1},
+		{"RSU-G4 (emulated)", "rsu", 4},
 	} {
 		solver, err := rsugibbs.NewSolver(app, rsugibbs.Config{
-			Backend: v.backend, RSUWidth: v.width,
+			BackendName: v.backend, RSUWidth: v.width,
 			Iterations: 60, BurnIn: 20, Seed: 13,
 		})
 		if err != nil {

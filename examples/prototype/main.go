@@ -32,7 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 	solver, err := rsugibbs.NewSolver(app, rsugibbs.Config{
-		Backend: rsugibbs.PrototypeBackend, Iterations: 10, BurnIn: 2, Seed: 6,
+		BackendName: "prototype", Iterations: 10, BurnIn: 2, Seed: 6,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -21,12 +21,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	for _, backend := range []rsugibbs.Backend{rsugibbs.SoftwareGibbs, rsugibbs.RSU} {
+	for _, backend := range []string{"software-gibbs", "rsu"} {
 		solver, err := rsugibbs.NewSolver(app, rsugibbs.Config{
-			Backend:    backend,
-			Iterations: 80,
-			BurnIn:     30,
-			Seed:       7,
+			BackendName: backend,
+			Iterations:  80,
+			BurnIn:      30,
+			Seed:        7,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -52,20 +52,20 @@ func main() {
 		name    string
 		hood    rsugibbs.Neighborhood
 		diag    float64
-		backend rsugibbs.Backend
+		backend string
 	}
 	for _, v := range []variant{
-		{"first-order, software Gibbs", rsugibbs.FirstOrder, 0, rsugibbs.SoftwareGibbs},
-		{"first-order, RSU-G1", rsugibbs.FirstOrder, 0, rsugibbs.RSU},
-		{"second-order, software Gibbs", rsugibbs.SecondOrder, 1, rsugibbs.SoftwareGibbs},
-		{"second-order, RSU-G8", rsugibbs.SecondOrder, 1, rsugibbs.RSU},
+		{"first-order, software Gibbs", rsugibbs.FirstOrder, 0, "software-gibbs"},
+		{"first-order, RSU-G1", rsugibbs.FirstOrder, 0, "rsu"},
+		{"second-order, software Gibbs", rsugibbs.SecondOrder, 1, "software-gibbs"},
+		{"second-order, RSU-G8", rsugibbs.SecondOrder, 1, "rsu"},
 	} {
 		app, err := rsugibbs.NewRestoration(noisy, 4, 2, v.diag, 12, v.hood)
 		if err != nil {
 			log.Fatal(err)
 		}
 		solver, err := rsugibbs.NewSolver(app, rsugibbs.Config{
-			Backend: v.backend, Iterations: 80, BurnIn: 30, Seed: 33,
+			BackendName: v.backend, Iterations: 80, BurnIn: 30, Seed: 33,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -80,7 +80,7 @@ func main() {
 			cycles = fmt.Sprintf("%d cycles/var", u.EvalTiming().Cycles)
 		}
 		fmt.Printf("%-30s restored MSE %.1f  (%s)\n", v.name, mse(restored, clean), cycles)
-		if v.backend == rsugibbs.RSU && v.hood == rsugibbs.SecondOrder {
+		if v.backend == "rsu" && v.hood == rsugibbs.SecondOrder {
 			if err := rsugibbs.WritePGMFile("restoration_rsu_g8.pgm", restored); err != nil {
 				log.Fatal(err)
 			}

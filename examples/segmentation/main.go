@@ -34,11 +34,11 @@ func main() {
 		cfg  rsugibbs.Config
 	}
 	variants := []variant{
-		{"exact software Gibbs", rsugibbs.Config{Backend: rsugibbs.SoftwareGibbs}},
-		{"ideal first-to-fire", rsugibbs.Config{Backend: rsugibbs.SoftwareFirstToFire}},
-		{"Metropolis", rsugibbs.Config{Backend: rsugibbs.Metropolis}},
-		{"RSU-G1 (emulated)", rsugibbs.Config{Backend: rsugibbs.RSU, RSUWidth: 1}},
-		{"RSU-G4 (emulated)", rsugibbs.Config{Backend: rsugibbs.RSU, RSUWidth: 4}},
+		{"exact software Gibbs", rsugibbs.Config{BackendName: "software-gibbs"}},
+		{"ideal first-to-fire", rsugibbs.Config{BackendName: "software-first-to-fire"}},
+		{"Metropolis", rsugibbs.Config{BackendName: "metropolis"}},
+		{"RSU-G1 (emulated)", rsugibbs.Config{BackendName: "rsu", RSUWidth: 1}},
+		{"RSU-G4 (emulated)", rsugibbs.Config{BackendName: "rsu", RSUWidth: 4}},
 	}
 
 	fmt.Printf("%-22s %-14s %-14s %s\n", "backend", "mislabel rate", "final energy", "cycles/variable")

@@ -23,13 +23,13 @@ func main() {
 
 	for _, v := range []struct {
 		name    string
-		backend rsugibbs.Backend
+		backend string
 	}{
-		{"exact software Gibbs", rsugibbs.SoftwareGibbs},
-		{"RSU-G1 (emulated)", rsugibbs.RSU},
+		{"exact software Gibbs", "software-gibbs"},
+		{"RSU-G1 (emulated)", "rsu"},
 	} {
 		solver, err := rsugibbs.NewSolver(app, rsugibbs.Config{
-			Backend: v.backend, Iterations: 80, BurnIn: 30, Seed: 23,
+			BackendName: v.backend, Iterations: 80, BurnIn: 30, Seed: 23,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -39,7 +39,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-22s mislabel rate %.4f\n", v.name, res.MAP.MislabelRate(scene.Truth))
-		if v.backend == rsugibbs.RSU {
+		if v.backend == "rsu" {
 			palette := []uint8{0, 60, 120, 180, 240}
 			if err := rsugibbs.WritePGMFile("stereo_disparity.pgm", res.MAP.Render(palette)); err != nil {
 				log.Fatal(err)

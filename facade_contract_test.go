@@ -33,7 +33,6 @@ func TestFacadeContract(t *testing.T) {
 		_ *Solver
 		_ Config
 		_ *Result
-		_ Backend
 		_ CheckpointSpec
 		_ *Snapshot
 		_ SnapshotFingerprint
@@ -76,10 +75,8 @@ func TestFacadeContract(t *testing.T) {
 		_ *EventSink
 	)
 
-	// Backend and policy constants, sampling modes, neighborhoods.
-	for _, b := range []Backend{SoftwareGibbs, SoftwareFirstToFire, Metropolis, RSU, PrototypeBackend} {
-		_ = b
-	}
+	// Policy constants, sampling modes, neighborhoods. Backends have no
+	// constants: a registry name (Backends) is the only selector.
 	for _, p := range []FaultPolicy{FaultPolicyNone, FaultPolicyRemap, FaultPolicyResample, FaultPolicyQuarantine, FaultPolicyFallback} {
 		_ = p
 	}
@@ -93,7 +90,7 @@ func TestFacadeContract(t *testing.T) {
 	_ = NewRand
 	_, _, _, _, _ = NewSegmentation, NewMotion, NewStereo, NewRestoration, KMeans1D
 	_, _ = NewSolver, NewSolverOpts
-	_, _, _ = Backends, ParseBackend, LookupBackend
+	_, _ = Backends, LookupBackend
 	_, _, _ = WithBackendName, WithSpiking, WithMeanField
 	_, _ = SaveSnapshot, LoadSnapshot
 	_, _ = ParseFaults, ParseFaultPolicy
@@ -148,7 +145,7 @@ func TestFacadeOptions(t *testing.T) {
 
 	reg := NewMetrics()
 	solver, err := NewSolverOpts(app,
-		WithBackend(RSU),
+		WithBackendName("rsu"),
 		WithRSUWidth(2),
 		WithIterations(24),
 		WithBurnIn(8),
@@ -203,9 +200,9 @@ func TestFacadeOptions(t *testing.T) {
 }
 
 // TestFacadeBackendRegistry pins the registry surface: every registered
-// name round-trips through ParseBackend/String, resolves through
-// LookupBackend, and is accepted by WithBackendName; unknown names are
-// rejected wrapping ErrInvalidConfig at both parse and solve time.
+// name resolves through LookupBackend and is accepted by
+// WithBackendName, and unknown names are rejected wrapping
+// ErrInvalidConfig at solve time.
 func TestFacadeBackendRegistry(t *testing.T) {
 	src := NewRand(1)
 	scene := BlobScene(16, 16, 2, 6, src)
@@ -219,13 +216,6 @@ func TestFacadeBackendRegistry(t *testing.T) {
 		t.Fatalf("registry lists %d backends, want >= 7: %v", len(names), names)
 	}
 	for _, name := range names {
-		b, err := ParseBackend(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.String() != name {
-			t.Fatalf("ParseBackend(%q).String() = %q", name, b.String())
-		}
 		be, ok := LookupBackend(name)
 		if !ok || be.Name() != name {
 			t.Fatalf("LookupBackend(%q) failed", name)
@@ -233,13 +223,6 @@ func TestFacadeBackendRegistry(t *testing.T) {
 		if _, err := NewSolverOpts(app, WithBackendName(name), WithIterations(3), WithBurnIn(1)); err != nil {
 			t.Fatalf("WithBackendName(%q) rejected: %v", name, err)
 		}
-	}
-	// The compatibility constants resolve to their historical names.
-	if SoftwareGibbs.String() != "software-gibbs" || RSU.String() != "rsu" || PrototypeBackend.String() != "prototype" {
-		t.Fatal("compatibility constants renamed")
-	}
-	if _, err := ParseBackend("sram-sampler"); !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("unknown parse: got %v, want ErrInvalidConfig", err)
 	}
 	if _, err := NewSolverOpts(app, WithBackendName("sram-sampler")); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("unknown backend name: got %v, want ErrInvalidConfig", err)

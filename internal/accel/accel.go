@@ -167,14 +167,6 @@ func Run(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config) (*img.Labe
 	return lm, mode, stats, stopErr
 }
 
-// RunCtx simulates the accelerator with explicit cancellation.
-//
-// Deprecated: Run now takes the context as its first argument; RunCtx
-// is an alias kept for one release so existing callers keep compiling.
-func RunCtx(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config) (*img.LabelMap, *img.LabelMap, Stats, error) {
-	return Run(ctx, a, unit, cfg)
-}
-
 // PaperConfig returns the §8.2 design point for a workload: 336 units,
 // 1 GHz, 336 GB/s, with the workload's per-pixel traffic.
 func PaperConfig(bytesPerPixel float64, iterations int, seed uint64) Config {

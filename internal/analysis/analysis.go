@@ -136,11 +136,9 @@ func PkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, fn string) bool {
 }
 
 // IsDeprecated reports whether the function declaration carries a
-// standard "Deprecated:" marker in its doc comment. Analyzers that
-// police live code (deadassign, detrand) skip such bodies: deprecated
-// compatibility shims exist only to keep old call sites compiling and
-// routinely contain idioms — parameter-silencing blank assignments,
-// inherited clock plumbing — that would be defects anywhere else.
+// standard "Deprecated:" marker in its doc comment. ctxflow uses it to
+// let a compatibility shim mint the context it bridges, and to permit
+// shim-to-shim calls; no other analyzer exempts deprecated bodies.
 func IsDeprecated(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
 		return false

@@ -49,7 +49,8 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	}
 	wants := collectWants(t, pkg)
 	// Facts span every package the fixture pulled in, so deprecation
-	// marks on module packages (repro/internal/gibbs.RunCtx, ...) are
+	// marks on module packages
+	// (repro/internal/analysis/ctxflow/testdata/shim.RunCtx, ...) are
 	// visible to the analyzer under test.
 	facts := analysis.NewFacts(loader.Packages())
 	for _, d := range analysis.RunAnalyzerFacts(a, pkg, facts) {

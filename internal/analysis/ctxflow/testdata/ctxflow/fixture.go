@@ -6,7 +6,7 @@ package fixture
 import (
 	"context"
 
-	"repro/internal/gibbs"
+	"repro/internal/analysis/ctxflow/testdata/shim"
 )
 
 // NewRoot mints a root context in library code.
@@ -39,7 +39,7 @@ func CallsShim() error {
 // CallsModuleShim reaches a deprecated shim declared in another module
 // package; the fact base carries the mark across the import.
 func CallsModuleShim(ctx context.Context) {
-	_, _ = gibbs.RunCtx(ctx, nil, nil, nil, gibbs.Options{}, 0) // want "deprecated shim RunCtx"
+	_ = shim.RunCtx(ctx) // want "deprecated shim RunCtx"
 }
 
 // ChainedShim is itself deprecated, so its call into OldRun is the

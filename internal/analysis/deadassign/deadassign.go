@@ -9,10 +9,8 @@
 // Deliberately permitted: `_ = x` where x is an otherwise-unused local
 // (that assignment is load-bearing: it silences the compiler's
 // declared-and-not-used error), `_ = f()` (the call has effects),
-// `_ = xs[0]` (a bounds-check hint), package-level `var _ Iface =
-// ...` interface assertions (declarations, not assignments), and the
-// bodies of functions marked "Deprecated:" (compatibility shims are
-// not live code).
+// `_ = xs[0]` (a bounds-check hint), and package-level `var _ Iface =
+// ...` interface assertions (declarations, not assignments).
 package deadassign
 
 import (
@@ -80,9 +78,6 @@ func run(pass *analysis.Pass) {
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if fd, ok := n.(*ast.FuncDecl); ok && analysis.IsDeprecated(fd) {
-				return false // compatibility shim: not live code
-			}
 			as, ok := n.(*ast.AssignStmt)
 			if !ok || as.Tok != token.ASSIGN {
 				return true

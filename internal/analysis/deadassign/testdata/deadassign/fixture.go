@@ -54,11 +54,10 @@ type asserts interface{ Assert() }
 
 var _ asserts = Asserter{}
 
-// DeprecatedShim mirrors the API-v2 compatibility wrappers: its body
-// blanks a parameter, which deadassign would flag anywhere else, but
-// Deprecated: marked shims are skipped wholesale. Must not be flagged.
+// DeprecatedShim carries a deprecation mark, which earns no exemption:
+// its dead blank assignment is flagged like any other.
 //
 // Deprecated: use silencer.
 func DeprecatedShim(unused int) {
-	_ = unused
+	_ = unused // want "parameter"
 }

@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 
 	"repro/internal/apps"
@@ -42,46 +41,25 @@ const (
 	FaultSeed     = 9
 )
 
-// ParseBackend maps the scenario names the harness passes between
-// processes onto core backends through the registry. The harness's
-// historical shorthand "first-to-fire" stays accepted.
-func ParseBackend(name string) (core.Backend, error) {
-	if name == "first-to-fire" {
-		name = "software-first-to-fire"
-	}
-	b, err := core.ParseBackend(name)
-	if err != nil {
-		return 0, fmt.Errorf("chaostest: unknown backend %q", name)
-	}
-	return b, nil
-}
-
 // NewSolver builds the deterministic chaos scenario: a blob-scene
 // segmentation on the named backend. spec == nil runs without
 // checkpointing (the golden run); otherwise the snapshot policy is the
 // caller's — the kill harness injects a clock that SIGKILLs the process
 // at a chosen sweep boundary.
 func NewSolver(backend string, workers int, faults bool, spec *core.CheckpointSpec) (*core.Solver, error) {
-	b, err := ParseBackend(backend)
-	if err != nil {
-		return nil, err
-	}
 	scene := img.BlobScene(GridW, GridH, 3, 6, rng.New(SceneSeed))
 	app, err := apps.NewSegmentation(scene.Image, scene.Means, 2, 12)
 	if err != nil {
 		return nil, err
 	}
 	cfg := core.Config{
-		Backend:    b,
-		Iterations: Iterations,
-		BurnIn:     BurnIn,
-		Workers:    workers,
-		Seed:       Seed,
+		BackendName: backend,
+		Iterations:  Iterations,
+		BurnIn:      BurnIn,
+		Workers:     workers,
+		Seed:        Seed,
 	}
 	if faults {
-		if b != core.RSU {
-			return nil, fmt.Errorf("chaostest: faults require the rsu backend, got %q", backend)
-		}
 		cfg.Faults = &fault.Options{Schedule: FaultSchedule, Seed: FaultSeed, Policy: fault.PolicyRemap}
 	}
 	cfg.Checkpoint = spec

@@ -60,9 +60,9 @@ func solve(t *testing.T, cfg Config) *Result {
 // bit-exactly — including across worker counts (the snapshot is taken
 // at W=1 and resumed at W=3).
 func TestSolveResumeMatchesUninterrupted(t *testing.T) {
-	for _, backend := range []Backend{SoftwareGibbs, SoftwareFirstToFire, Metropolis, RSU} {
-		t.Run(backend.String(), func(t *testing.T) {
-			base := Config{Backend: backend, Iterations: 20, BurnIn: 5, Seed: 2, Compile: true}
+	for _, backend := range []string{"software-gibbs", "software-first-to-fire", "metropolis", "rsu"} {
+		t.Run(backend, func(t *testing.T) {
+			base := Config{BackendName: backend, Iterations: 20, BurnIn: 5, Seed: 2, Compile: true}
 			golden := solve(t, base)
 
 			path := filepath.Join(t.TempDir(), "solve.ckpt")
@@ -82,7 +82,7 @@ func TestSolveResumeMatchesUninterrupted(t *testing.T) {
 			resumed := base
 			resumed.Workers = 3
 			resumed.Checkpoint = &CheckpointSpec{Path: path, EverySweeps: 7, Resume: true}
-			sameSolveResult(t, backend.String(), golden, solve(t, resumed))
+			sameSolveResult(t, backend, golden, solve(t, resumed))
 		})
 	}
 }
@@ -92,7 +92,7 @@ func TestSolveResumeMatchesUninterrupted(t *testing.T) {
 // the labels but the full injected-vs-detected audit.
 func TestSolveResumeFaultyRSU(t *testing.T) {
 	base := Config{
-		Backend: RSU, Iterations: 16, BurnIn: 4, Seed: 5,
+		BackendName: "rsu", Iterations: 16, BurnIn: 4, Seed: 5,
 		Faults: &fault.Options{Schedule: "hot:rate=5e-3;dead:unit=3,sweep=2", Seed: 9, Policy: fault.PolicyRemap},
 	}
 	golden := solve(t, base)
@@ -136,14 +136,14 @@ func TestSolveResumeFaultyRSU(t *testing.T) {
 // field, instead of silently diverging.
 func TestSolveResumeRejectsForeignSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "solve.ckpt")
-	base := Config{Backend: SoftwareGibbs, Iterations: 12, BurnIn: 2, Seed: 2}
+	base := Config{BackendName: "software-gibbs", Iterations: 12, BurnIn: 2, Seed: 2}
 	first := base
 	first.Checkpoint = &CheckpointSpec{Path: path, EverySweeps: 5}
 	solve(t, first)
 
 	for name, mutate := range map[string]func(*Config){
 		"seed":    func(c *Config) { c.Seed = 3 },
-		"backend": func(c *Config) { c.Backend = Metropolis },
+		"backend": func(c *Config) { c.BackendName = "metropolis" },
 		"burn-in": func(c *Config) { c.BurnIn = 3 },
 		"anneal":  func(c *Config) { c.Anneal = &AnnealSpec{StartT: 4, Rate: 0.9} },
 	} {
@@ -165,7 +165,7 @@ func TestSolveResumeRejectsForeignSnapshot(t *testing.T) {
 // the fault section cannot restore a fault-armed run.
 func TestSolveResumeRejectsMissingFaultSection(t *testing.T) {
 	base := Config{
-		Backend: RSU, Iterations: 12, BurnIn: 2, Seed: 5,
+		BackendName: "rsu", Iterations: 12, BurnIn: 2, Seed: 5,
 		Faults: &fault.Options{Schedule: "hot:rate=5e-3", Seed: 9, Policy: fault.PolicyNone},
 	}
 	path := filepath.Join(t.TempDir(), "faulty.ckpt")
@@ -198,7 +198,7 @@ func TestSolveResumeRejectsMissingFaultSection(t *testing.T) {
 // error wrapping ctx.Err(), and a durable snapshot the run can resume
 // from to reproduce the golden result.
 func TestSolveCtxCancelled(t *testing.T) {
-	base := Config{Backend: SoftwareGibbs, Iterations: 15, BurnIn: 3, Seed: 4}
+	base := Config{BackendName: "software-gibbs", Iterations: 15, BurnIn: 3, Seed: 4}
 	golden := solve(t, base)
 
 	path := filepath.Join(t.TempDir(), "cancel.ckpt")
@@ -231,7 +231,7 @@ func TestSolveCtxCancelled(t *testing.T) {
 // disk is a fresh run (first boot and post-crash boot share one code
 // path), and it still produces the golden result.
 func TestSolveResumeMissingFileStartsFresh(t *testing.T) {
-	base := Config{Backend: SoftwareGibbs, Iterations: 10, BurnIn: 2, Seed: 6}
+	base := Config{BackendName: "software-gibbs", Iterations: 10, BurnIn: 2, Seed: 6}
 	golden := solve(t, base)
 	fresh := base
 	fresh.Checkpoint = &CheckpointSpec{

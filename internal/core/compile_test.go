@@ -28,13 +28,13 @@ func TestCompileEquivalenceAllBackends(t *testing.T) {
 	src := rng.New(31)
 	scene := img.BlobScene(24, 20, 4, 7, src)
 
-	backends := []Backend{SoftwareGibbs, SoftwareFirstToFire, Metropolis, RSU}
+	backends := []string{"software-gibbs", "software-first-to-fire", "metropolis", "rsu"}
 	for _, hood := range []mrf.Neighborhood{mrf.FirstOrder, mrf.SecondOrder} {
 		for _, backend := range backends {
 			t.Run(fmt.Sprintf("%v/%v", backend, hood), func(t *testing.T) {
 				runOnce := func(compile bool) *Result {
 					cfg := Config{
-						Backend: backend, Iterations: 10, BurnIn: 3,
+						BackendName: backend, Iterations: 10, BurnIn: 3,
 						Workers: 4, Compile: compile, Seed: 77,
 					}
 					var solver *Solver
@@ -92,7 +92,7 @@ func TestCompileWithAnnealEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		solver, err := NewSolver(app, Config{
-			Backend: SoftwareGibbs, Iterations: 12, BurnIn: 4, Workers: 2,
+			BackendName: "software-gibbs", Iterations: 12, BurnIn: 4, Workers: 2,
 			Compile: compile, Seed: 9, Anneal: &AnnealSpec{StartT: 40, Rate: 0.8},
 		})
 		if err != nil {

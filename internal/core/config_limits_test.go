@@ -12,7 +12,7 @@ import (
 // limit fields are rejected up front with wrapped ErrInvalidConfig, not
 // discovered mid-solve.
 func TestConfigValidateLimits(t *testing.T) {
-	base := Config{Backend: SoftwareGibbs, Iterations: 10, BurnIn: 2}
+	base := Config{BackendName: "software-gibbs", Iterations: 10, BurnIn: 2}
 	cases := []struct {
 		name string
 		mut  func(*Config)
@@ -55,7 +55,7 @@ func TestConfigValidateLimits(t *testing.T) {
 func TestSolveDeadlinePartialResult(t *testing.T) {
 	app, _ := segApp(t)
 	s, err := NewSolver(app, Config{
-		Backend: SoftwareGibbs, Iterations: 1 << 20, BurnIn: 1,
+		BackendName: "software-gibbs", Iterations: 1 << 20, BurnIn: 1,
 		Seed: 5, Deadline: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -84,7 +84,7 @@ func TestSolveDeadlineDoesNotPerturbChain(t *testing.T) {
 		t.Helper()
 		app, _ := segApp(t)
 		s, err := NewSolver(app, Config{
-			Backend: SoftwareGibbs, Iterations: 20, BurnIn: 5, Seed: 77, Deadline: d,
+			BackendName: "software-gibbs", Iterations: 20, BurnIn: 5, Seed: 77, Deadline: d,
 		})
 		if err != nil {
 			t.Fatal(err)

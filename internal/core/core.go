@@ -29,56 +29,10 @@ import (
 	"repro/internal/sampler/spiking"
 )
 
-// Backend selects the sampling engine by registry index
-// (internal/sampler). The named constants below cover the original
-// enum; every registered backend — including ones added after these
-// constants froze — is addressable by name through Config.BackendName,
-// which is the preferred selector.
-type Backend int
-
-// Compatibility aliases for the first five registry entries.
-//
-// Deprecated: the registry (internal/sampler) is the source of truth
-// for available backends; select by name with Config.BackendName /
-// WithBackendName, and enumerate with Backends(). These constants
-// remain valid forever — they resolve to the same registry entries by
-// index — but new backends get no constant.
-const (
-	// SoftwareGibbs is the exact softmax Gibbs kernel (the paper's
-	// software baseline).
-	SoftwareGibbs Backend = iota
-	// SoftwareFirstToFire is the unquantized first-to-fire race —
-	// mathematically identical to SoftwareGibbs, the RSU's principle
-	// without its hardware approximations.
-	SoftwareFirstToFire
-	// Metropolis is the uniform-proposal MH kernel.
-	Metropolis
-	// RSU emulates an RSU-G unit (width set by Config.RSUWidth).
-	RSU
-	// Prototype drives the emulated macro-scale RSU-G2 bench (§7).
-	// Restricted to two-label models (a declared registry capability).
-	Prototype
-)
-
-// String implements fmt.Stringer: the registered name of the backend
-// at this index, so String()/ParseBackend round-trip exactly.
-func (b Backend) String() string {
-	if be, ok := sampler.At(int(b)); ok {
-		return be.Name()
-	}
-	return fmt.Sprintf("Backend(%d)", int(b))
-}
-
-// ParseBackend resolves a registered backend name to its Backend
-// value — the inverse of String. Unknown names wrap ErrInvalidConfig.
-func ParseBackend(name string) (Backend, error) {
-	i, ok := sampler.Index(name)
-	if !ok {
-		return 0, fmt.Errorf("%w: unknown backend %q (known: %s)",
-			ErrInvalidConfig, name, strings.Join(sampler.Names(), ", "))
-	}
-	return Backend(i), nil
-}
+// defaultBackend is the registry name an empty Config.BackendName
+// selects: the exact softmax Gibbs kernel, the paper's software
+// baseline.
+const defaultBackend = "software-gibbs"
 
 // Backends returns the registered backend names in registry order —
 // the single source of allowed-values help text for CLI flags.
@@ -86,12 +40,10 @@ func Backends() []string { return sampler.Names() }
 
 // Config selects the backend and chain parameters.
 type Config struct {
-	// Backend selects the sampling engine by registry index. Ignored
-	// when BackendName is set.
-	Backend Backend
-	// BackendName selects the sampling engine by registry name
-	// (see Backends()); when non-empty it takes precedence over
-	// Backend. Unknown names fail Validate with ErrInvalidConfig.
+	// BackendName selects the sampling engine by registry name (see
+	// Backends(); empty selects software-gibbs). The legacy spellings
+	// "software" and "first-to-fire" resolve to their registered names.
+	// Unknown names fail Validate with ErrInvalidConfig.
 	BackendName string
 	Iterations  int
 	BurnIn      int
@@ -199,20 +151,16 @@ type CheckpointSpec struct {
 // errors.Is.
 var ErrInvalidConfig = errors.New("core: invalid config")
 
-// resolveBackend looks up the configured backend in the registry:
-// BackendName when set, the Backend index otherwise.
+// resolveBackend looks up the configured backend in the registry.
 func (cfg Config) resolveBackend() (sampler.Backend, error) {
-	if cfg.BackendName != "" {
-		be, ok := sampler.Lookup(cfg.BackendName)
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown backend %q (known: %s)",
-				ErrInvalidConfig, cfg.BackendName, strings.Join(sampler.Names(), ", "))
-		}
-		return be, nil
+	name := cfg.BackendName
+	if name == "" {
+		name = defaultBackend
 	}
-	be, ok := sampler.At(int(cfg.Backend))
+	be, ok := sampler.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("%w: unknown backend %v", ErrInvalidConfig, cfg.Backend)
+		return nil, fmt.Errorf("%w: unknown backend %q (known: %s)",
+			ErrInvalidConfig, name, strings.Join(sampler.Names(), ", "))
 	}
 	return be, nil
 }
@@ -557,15 +505,6 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	// err is nil for a completed run, or wraps ctx.Err() for a
 	// cancellation that still produced the partial result above.
 	return out, err
-}
-
-// SolveCtx runs the chain with explicit cancellation.
-//
-// Deprecated: Solve now takes the context as its first argument;
-// SolveCtx is an alias kept for one release so existing callers keep
-// compiling.
-func (s *Solver) SolveCtx(ctx context.Context) (*Result, error) {
-	return s.Solve(ctx)
 }
 
 // PerformanceReport models the hardware-level cost of a workload on the

@@ -41,14 +41,14 @@ func TestNewSolverValidation(t *testing.T) {
 
 func TestSolverBackends(t *testing.T) {
 	app, scene := segApp(t)
-	for _, backend := range []Backend{SoftwareGibbs, SoftwareFirstToFire, Metropolis, RSU} {
+	for _, backend := range []string{"software-gibbs", "software-first-to-fire", "metropolis", "rsu"} {
 		s, err := NewSolver(app, Config{
-			Backend: backend, Iterations: 40, BurnIn: 15, Seed: 2,
+			BackendName: backend, Iterations: 40, BurnIn: 15, Seed: 2,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", backend, err)
 		}
-		if (s.Unit() != nil) != (backend == RSU) {
+		if (s.Unit() != nil) != (backend == "rsu") {
 			t.Errorf("%v: unexpected unit presence", backend)
 		}
 		res, err := s.Solve(context.Background())
@@ -60,7 +60,7 @@ func TestSolverBackends(t *testing.T) {
 		}
 		// Metropolis mixes slower; grant it a looser bound.
 		limit := 0.10
-		if backend == Metropolis {
+		if backend == "metropolis" {
 			limit = 0.25
 		}
 		if rate := res.MAP.MislabelRate(scene.Truth); rate > limit {
@@ -71,7 +71,7 @@ func TestSolverBackends(t *testing.T) {
 
 func TestSolverRSUWidth(t *testing.T) {
 	app, _ := segApp(t)
-	s, err := NewSolver(app, Config{Backend: RSU, RSUWidth: 4, Iterations: 5, Seed: 3})
+	s, err := NewSolver(app, Config{BackendName: "rsu", RSUWidth: 4, Iterations: 5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,24 +117,9 @@ func TestPerformanceUnknownWorkload(t *testing.T) {
 	}
 }
 
-func TestBackendString(t *testing.T) {
-	names := map[Backend]string{
-		SoftwareGibbs:       "software-gibbs",
-		SoftwareFirstToFire: "software-first-to-fire",
-		Metropolis:          "metropolis",
-		RSU:                 "rsu",
-		Backend(9):          "Backend(9)",
-	}
-	for b, want := range names {
-		if b.String() != want {
-			t.Errorf("%v != %s", b, want)
-		}
-	}
-}
-
 func TestSolveUnknownBackend(t *testing.T) {
 	app, _ := segApp(t)
-	_, err := NewSolver(app, Config{Backend: Backend(9), Iterations: 2})
+	_, err := NewSolver(app, Config{BackendName: "bogus", Iterations: 2})
 	if err == nil {
 		t.Fatal("unknown backend accepted")
 	}
@@ -146,7 +131,7 @@ func TestSolveUnknownBackend(t *testing.T) {
 func TestSolverAnnealing(t *testing.T) {
 	app, scene := segApp(t)
 	s, err := NewSolver(app, Config{
-		Backend: SoftwareGibbs, Iterations: 40, BurnIn: 20, Seed: 9,
+		BackendName: "software-gibbs", Iterations: 40, BurnIn: 20, Seed: 9,
 		Anneal: &AnnealSpec{StartT: 60, Rate: 0.9},
 	})
 	if err != nil {
@@ -185,7 +170,7 @@ func TestSolverAnnealValidation(t *testing.T) {
 func TestSolverPhysicalMode(t *testing.T) {
 	app, scene := segApp(t)
 	s, err := NewSolver(app, Config{
-		Backend: RSU, RSUMode: rsu.Physical,
+		BackendName: "rsu", RSUMode: rsu.Physical,
 		Iterations: 30, BurnIn: 10, Seed: 10,
 	})
 	if err != nil {
@@ -211,7 +196,7 @@ func TestPrototypeBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSolver(app, Config{Backend: Prototype, Iterations: 12, BurnIn: 2, Seed: 21})
+	s, err := NewSolver(app, Config{BackendName: "prototype", Iterations: 12, BurnIn: 2, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +212,7 @@ func TestPrototypeBackend(t *testing.T) {
 	}
 	// Five-label models are rejected up front.
 	multi, _ := segApp(t)
-	if _, err := NewSolver(multi, Config{Backend: Prototype, Iterations: 5}); err == nil {
+	if _, err := NewSolver(multi, Config{BackendName: "prototype", Iterations: 5}); err == nil {
 		t.Fatal("five-label model accepted by prototype backend")
 	}
 }

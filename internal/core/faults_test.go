@@ -25,11 +25,11 @@ func faultTestApp(t *testing.T) (apps.App, img.Scene) {
 
 func faultConfig(policy fault.Policy, schedule string, workers int) Config {
 	return Config{
-		Backend:    RSU,
-		Iterations: 24,
-		BurnIn:     8,
-		Workers:    workers,
-		Seed:       5,
+		BackendName: "rsu",
+		Iterations:  24,
+		BurnIn:      8,
+		Workers:     workers,
+		Seed:        5,
 		Faults: &fault.Options{
 			Schedule: schedule,
 			Seed:     99,
@@ -44,7 +44,7 @@ func faultConfig(policy fault.Policy, schedule string, workers int) Config {
 func TestFaultPathHealthyMatchesPlain(t *testing.T) {
 	app, _ := faultTestApp(t)
 
-	plain, err := NewSolver(app, Config{Backend: RSU, Iterations: 24, BurnIn: 8, Seed: 5})
+	plain, err := NewSolver(app, Config{BackendName: "rsu", Iterations: 24, BurnIn: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFaultPolicyEffects(t *testing.T) {
 func TestFaultsRejectNonRSUBackend(t *testing.T) {
 	app, _ := faultTestApp(t)
 	cfg := faultConfig(fault.PolicyRemap, "dead:unit=0", 1)
-	cfg.Backend = SoftwareGibbs
+	cfg.BackendName = "software-gibbs"
 	if _, err := NewSolver(app, cfg); err == nil {
 		t.Error("software backend accepted fault options")
 	}

@@ -25,50 +25,22 @@ func registryApp(t *testing.T, labels int) apps.App {
 	return app
 }
 
-// TestParseBackendRoundTrip: every registered name parses to a Backend
-// whose String() is that exact name, and unknown names wrap
-// ErrInvalidConfig.
-func TestParseBackendRoundTrip(t *testing.T) {
-	names := Backends()
-	if len(names) < 7 {
-		t.Fatalf("registry has %d backends, want >= 7", len(names))
-	}
-	for _, name := range names {
-		b, err := ParseBackend(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.String() != name {
-			t.Fatalf("ParseBackend(%q).String() = %q", name, b.String())
-		}
-	}
-	_, err := ParseBackend("bogus")
-	if !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("unknown name error %v does not wrap ErrInvalidConfig", err)
-	}
-	if !strings.Contains(err.Error(), "software-gibbs") {
-		t.Fatalf("error %v does not list known backends", err)
-	}
-}
-
-// TestBackendNameEquivalence: selecting a backend by registry name
-// draws the byte-identical chain the integer enum selector draws — the
-// registry path is the enum path.
+// TestBackendNameEquivalence: an empty BackendName selects
+// software-gibbs, drawing the byte-identical chain the explicit name
+// draws.
 func TestBackendNameEquivalence(t *testing.T) {
 	app := registryApp(t, 2)
-	for _, b := range []Backend{SoftwareGibbs, SoftwareFirstToFire, Metropolis, RSU, Prototype} {
-		cfg := Config{Backend: b, Iterations: 12, BurnIn: 3, Seed: 17, Workers: 2}
-		byEnum := solveOne(t, app, cfg)
-		cfg.Backend = 0
-		cfg.BackendName = b.String()
-		byName := solveOne(t, app, cfg)
-		if !bytes.Equal(byEnum.Final.Labels, byName.Final.Labels) ||
-			!bytes.Equal(byEnum.MAP.Labels, byName.MAP.Labels) {
-			t.Fatalf("backend %v: enum and name paths diverge", b)
-		}
-		if byEnum.SamplerName != byName.SamplerName {
-			t.Fatalf("backend %v: sampler %q vs %q", b, byEnum.SamplerName, byName.SamplerName)
-		}
+	cfg := Config{Iterations: 12, BurnIn: 3, Seed: 17, Workers: 2}
+	byDefault := solveOne(t, app, cfg)
+	cfg.BackendName = "software-gibbs"
+	byName := solveOne(t, app, cfg)
+	if !bytes.Equal(byDefault.Final.Labels, byName.Final.Labels) ||
+		!bytes.Equal(byDefault.MAP.Labels, byName.MAP.Labels) ||
+		!bytes.Equal(byDefault.Confidence.Pix, byName.Confidence.Pix) {
+		t.Fatal("empty and software-gibbs backend names draw different chains")
+	}
+	if byDefault.SamplerName != byName.SamplerName {
+		t.Fatalf("sampler %q vs %q", byDefault.SamplerName, byName.SamplerName)
 	}
 }
 
@@ -124,8 +96,12 @@ func TestCapabilityChecks(t *testing.T) {
 		{"unknown name", binary, Config{BackendName: "sram-sampler", Iterations: 5}},
 	}
 	for _, tc := range cases {
-		if _, err := NewSolver(tc.app, tc.cfg); !errors.Is(err, ErrInvalidConfig) {
+		_, err := NewSolver(tc.app, tc.cfg)
+		if !errors.Is(err, ErrInvalidConfig) {
 			t.Fatalf("%s: error %v does not wrap ErrInvalidConfig", tc.name, err)
+		}
+		if tc.name == "unknown name" && !strings.Contains(err.Error(), "software-gibbs") {
+			t.Fatalf("%s: error %v does not list known backends", tc.name, err)
 		}
 	}
 }

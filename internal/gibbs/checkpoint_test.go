@@ -168,7 +168,7 @@ func TestCancelReturnsPartialResultAndFinalCheckpoint(t *testing.T) {
 			},
 		},
 	}
-	res, err := RunCtx(ctx, m, init, NewExactGibbs(), opt, 3)
+	res, err := Run(ctx, m, init, NewExactGibbs(), opt, 3)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -220,7 +220,7 @@ func TestCancelAlreadyCancelled(t *testing.T) {
 			Sink:        func(*checkpoint.Snapshot) error { snaps++; return nil },
 		},
 	}
-	res, err := RunCtx(ctx, twoLabelModel(4, 4), img.NewLabelMap(4, 4), NewExactGibbs(), opt, 1)
+	res, err := Run(ctx, twoLabelModel(4, 4), img.NewLabelMap(4, 4), NewExactGibbs(), opt, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -237,7 +237,7 @@ func TestCancelAlreadyCancelled(t *testing.T) {
 func TestDeadlineExceeded(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	res, err := RunCtx(ctx, twoLabelModel(4, 4), img.NewLabelMap(4, 4), NewExactGibbs(),
+	res, err := Run(ctx, twoLabelModel(4, 4), img.NewLabelMap(4, 4), NewExactGibbs(),
 		Options{Iterations: 10}, 1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
@@ -258,7 +258,7 @@ func TestCancelLeaksNoGoroutinesAndPoolRestarts(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := RunCtx(ctx, m, init, NewExactGibbs(),
+		if _, err := Run(ctx, m, init, NewExactGibbs(),
 			Options{Iterations: 50, Schedule: Checkerboard, Workers: 8}, uint64(i)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("run %d: want context.Canceled, got %v", i, err)
 		}

@@ -14,10 +14,8 @@ import (
 )
 
 // The built-in backends register here in one init function so the
-// registry order is fixed: the first five indices are exactly the
-// historical core.Backend enum values (SoftwareGibbs=0 …, Prototype=4),
-// which is what keeps the integer compatibility aliases resolving to
-// the same engines they always did. New backends append after.
+// registry order — and with it Names(), CLI help text and report row
+// order — is fixed. New backends append after.
 func init() {
 	Register(&funcBackend{
 		name: "software-gibbs",

@@ -1,8 +1,8 @@
 // Package sampler is the open backend registry behind core's dispatch:
 // every sampling engine — the paper's exact kernels, the emulated RSU-G,
 // and the approximate backends from the related literature — registers a
-// named Backend descriptor here, and core resolves names/indices through
-// the registry instead of switching on an enum. The registry is the
+// named Backend descriptor here, and core resolves names through the
+// registry instead of switching on an enum. The registry is the
 // extension seam the distributed-sharding and UQ roadmap items program
 // against: adding a backend means registering one descriptor, not
 // editing core.
@@ -15,7 +15,6 @@ package sampler
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/apps"
@@ -132,13 +131,21 @@ type Backend interface {
 var (
 	mu      sync.RWMutex
 	ordered []Backend
-	byName  = map[string]int{}
+	byName  = map[string]Backend{}
 )
 
-// Register adds a backend to the registry and returns its index. Names
-// must be unique; registering a duplicate is a programming error and
-// panics (registration happens in package init functions).
-func Register(b Backend) int {
+// aliases maps the spellings that predate the registry names onto the
+// registered names. Lookup is the one place they resolve: every CLI
+// flag, job spec and harness that takes a backend name goes through it.
+var aliases = map[string]string{
+	"software":      "software-gibbs",
+	"first-to-fire": "software-first-to-fire",
+}
+
+// Register adds a backend to the registry. Names must be unique and
+// must not shadow a legacy alias; a collision is a programming error
+// and panics (registration happens in package init functions).
+func Register(b Backend) {
 	mu.Lock()
 	defer mu.Unlock()
 	name := b.Name()
@@ -148,43 +155,29 @@ func Register(b Backend) int {
 	if _, dup := byName[name]; dup {
 		panic(fmt.Sprintf("sampler: backend %q registered twice", name))
 	}
+	if _, alias := aliases[name]; alias {
+		panic(fmt.Sprintf("sampler: backend name %q is a legacy alias", name))
+	}
 	ordered = append(ordered, b)
-	byName[name] = len(ordered) - 1
-	return len(ordered) - 1
+	byName[name] = b
 }
 
-// Lookup returns the backend registered under name.
+// Lookup returns the backend registered under name, or under the
+// registered name a legacy alias ("software", "first-to-fire") stands
+// for.
 func Lookup(name string) (Backend, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	i, ok := byName[name]
-	if !ok {
-		return nil, false
+	if canon, ok := aliases[name]; ok {
+		name = canon
 	}
-	return ordered[i], true
-}
-
-// At returns the backend at a registry index. The first five indices
-// are the historical core.Backend enum values, in order.
-func At(i int) (Backend, bool) {
 	mu.RLock()
 	defer mu.RUnlock()
-	if i < 0 || i >= len(ordered) {
-		return nil, false
-	}
-	return ordered[i], true
-}
-
-// Index returns the registry index of a name.
-func Index(name string) (int, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	i, ok := byName[name]
-	return i, ok
+	b, ok := byName[name]
+	return b, ok
 }
 
 // Names returns the registered backend names in registration order —
-// the single source of CLI allowed-values help text.
+// the single source of CLI allowed-values help text. Legacy aliases are
+// accepted by Lookup but not listed.
 func Names() []string {
 	mu.RLock()
 	defer mu.RUnlock()
@@ -193,13 +186,4 @@ func Names() []string {
 		out[i] = b.Name()
 	}
 	return out
-}
-
-// SortedNames returns the registered backend names sorted
-// alphabetically (for stable error messages independent of
-// registration order).
-func SortedNames() []string {
-	names := Names()
-	sort.Strings(names)
-	return names
 }

@@ -4,16 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/img"
 	"repro/internal/rng"
 	"repro/internal/sampler"
 )
 
-// TestRegistryOrder pins the registration order: the first five indices
-// are the historical core.Backend enum values, and the approximate
-// backends append after. Reordering would silently repoint every
-// integer-configured caller at a different engine.
+// TestRegistryOrder pins the registration order, which orders CLI help
+// text and the rows of the committed cross-backend report: the paper's
+// backends first, the approximate backends after.
 func TestRegistryOrder(t *testing.T) {
 	want := []string{
 		"software-gibbs", "software-first-to-fire", "metropolis",
@@ -30,53 +28,44 @@ func TestRegistryOrder(t *testing.T) {
 	}
 }
 
-// TestIndexLookupAgree: every name resolves to the backend at its
-// index.
+// TestIndexLookupAgree: every listed name resolves to the backend
+// registered under it, and unknown names do not resolve.
 func TestIndexLookupAgree(t *testing.T) {
-	for i, name := range sampler.Names() {
-		byName, ok := sampler.Lookup(name)
+	for _, name := range sampler.Names() {
+		be, ok := sampler.Lookup(name)
 		if !ok {
 			t.Fatalf("Lookup(%q) missing", name)
 		}
-		byIdx, ok := sampler.At(i)
-		if !ok {
-			t.Fatalf("At(%d) missing", i)
-		}
-		if byName != byIdx {
-			t.Fatalf("%q: Lookup and At disagree", name)
-		}
-		if idx, _ := sampler.Index(name); idx != i {
-			t.Fatalf("Index(%q) = %d, want %d", name, idx, i)
+		if be.Name() != name {
+			t.Fatalf("Lookup(%q) returned %q", name, be.Name())
 		}
 	}
 	if _, ok := sampler.Lookup("no-such-backend"); ok {
 		t.Fatal("unknown name resolved")
 	}
-	if _, ok := sampler.At(len(sampler.Names())); ok {
-		t.Fatal("out-of-range index resolved")
-	}
 }
 
-// TestEnumAlias: the core compatibility constants resolve — by index —
-// to the registry entries carrying their historical names.
-func TestEnumAlias(t *testing.T) {
-	aliases := map[core.Backend]string{
-		core.SoftwareGibbs:       "software-gibbs",
-		core.SoftwareFirstToFire: "software-first-to-fire",
-		core.Metropolis:          "metropolis",
-		core.RSU:                 "rsu",
-		core.Prototype:           "prototype",
+// TestLegacyAliases: each spelling that predates the registry names
+// resolves to the same backend as its canonical name, and is not
+// listed among the registered names.
+func TestLegacyAliases(t *testing.T) {
+	aliases := map[string]string{
+		"software":      "software-gibbs",
+		"first-to-fire": "software-first-to-fire",
 	}
-	for b, name := range aliases {
-		if b.String() != name {
-			t.Fatalf("%d.String() = %q, want %q", int(b), b.String(), name)
+	for alias, canon := range aliases {
+		byAlias, ok := sampler.Lookup(alias)
+		if !ok {
+			t.Fatalf("Lookup(%q) missing", alias)
 		}
-		parsed, err := core.ParseBackend(name)
-		if err != nil {
-			t.Fatal(err)
+		byName, _ := sampler.Lookup(canon)
+		if byAlias != byName {
+			t.Fatalf("%q resolves to %q, want %q", alias, byAlias.Name(), canon)
 		}
-		if parsed != b {
-			t.Fatalf("ParseBackend(%q) = %d, want %d", name, parsed, b)
+		for _, n := range sampler.Names() {
+			if n == alias {
+				t.Fatalf("alias %q listed as a registered name", alias)
+			}
 		}
 	}
 }
@@ -140,8 +129,15 @@ func TestBareModelBuilds(t *testing.T) {
 	}
 }
 
-// TestRegisterPanics: duplicate and anonymous registrations are
-// programming errors.
+// aliasBackend is a stub whose name is a legacy alias.
+type aliasBackend struct{}
+
+func (aliasBackend) Name() string                                    { return "software" }
+func (aliasBackend) Caps() sampler.Capabilities                      { return sampler.Capabilities{} }
+func (aliasBackend) New(sampler.BuildSpec) (sampler.Instance, error) { return nil, nil }
+
+// TestRegisterPanics: duplicate registrations and names that shadow a
+// legacy alias are programming errors.
 func TestRegisterPanics(t *testing.T) {
 	expectPanic := func(what string, f func()) {
 		t.Helper()
@@ -154,4 +150,5 @@ func TestRegisterPanics(t *testing.T) {
 	}
 	be, _ := sampler.Lookup("software-gibbs")
 	expectPanic("duplicate name", func() { sampler.Register(be) })
+	expectPanic("legacy alias name", func() { sampler.Register(aliasBackend{}) })
 }

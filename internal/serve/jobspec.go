@@ -131,7 +131,7 @@ func (sp JobSpec) Validate() error {
 	default:
 		return fmt.Errorf("%w: unknown app %q", ErrInvalidSpec, sp.App)
 	}
-	if _, err := parseBackend(sp.Backend); err != nil {
+	if err := checkBackend(sp.Backend); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	if sp.Size < 8 || sp.Size > MaxSpecSize {
@@ -178,32 +178,20 @@ func (sp JobSpec) ModelKey() string {
 	return fmt.Sprintf("%s/size=%d/labels=%d/scene=%d", sp.App, sp.Size, sp.Labels, sp.SceneSeed)
 }
 
-// specBackendAliases maps the spec spellings that predate the backend
-// registry onto registry names; canonical names pass through untouched.
-var specBackendAliases = map[string]string{
-	"software":      "software-gibbs",
-	"first-to-fire": "software-first-to-fire",
-}
-
-// parseBackend maps a spec backend name onto a core backend through
-// the registry. The server checkpoints every in-flight chain (drain,
-// migration, crash recovery), so backends whose registry capabilities
-// exclude checkpointing are rejected at admission rather than failing
+// checkBackend resolves a spec backend name through the registry. The
+// server checkpoints every in-flight chain (drain, migration, crash
+// recovery), so backends whose registry capabilities exclude
+// checkpointing are rejected at admission rather than failing
 // mid-drain.
-func parseBackend(name string) (core.Backend, error) {
-	canon := name
-	if a, ok := specBackendAliases[name]; ok {
-		canon = a
+func checkBackend(name string) error {
+	be, ok := sampler.Lookup(name)
+	if !ok {
+		return fmt.Errorf("unknown backend %q (known: %s)", name, strings.Join(core.Backends(), ", "))
 	}
-	b, err := core.ParseBackend(canon)
-	if err != nil {
-		return 0, fmt.Errorf("unknown backend %q (known: %s)", name, strings.Join(core.Backends(), ", "))
-	}
-	be, _ := sampler.Lookup(canon)
 	if !be.Caps().Checkpoint {
-		return 0, fmt.Errorf("backend %q cannot checkpoint/resume and is not servable", name)
+		return fmt.Errorf("backend %q cannot checkpoint/resume and is not servable", name)
 	}
-	return b, nil
+	return nil
 }
 
 // buildApp synthesizes the spec's deterministic scene and constructs
@@ -237,19 +225,18 @@ func buildApp(sp JobSpec) (apps.App, error) {
 // snapshot write (the replication layer's dirty-marking hook).
 func solverConfig(sp JobSpec, policy fault.Policy, workers int, ckptPath string, everySweeps int, onSave func(int)) (core.Config, error) {
 	sp = sp.withDefaults()
-	backend, err := parseBackend(sp.Backend)
-	if err != nil {
+	if err := checkBackend(sp.Backend); err != nil {
 		return core.Config{}, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	cfg := core.Config{
-		Backend:    backend,
-		Iterations: sp.Iterations,
-		BurnIn:     sp.BurnIn,
-		Workers:    workers,
-		Compile:    *sp.Compile,
-		RSUWidth:   sp.Width,
-		Seed:       sp.Seed,
-		Deadline:   time.Duration(sp.DeadlineMS) * time.Millisecond,
+		BackendName: sp.Backend,
+		Iterations:  sp.Iterations,
+		BurnIn:      sp.BurnIn,
+		Workers:     workers,
+		Compile:     *sp.Compile,
+		RSUWidth:    sp.Width,
+		Seed:        sp.Seed,
+		Deadline:    time.Duration(sp.DeadlineMS) * time.Millisecond,
 	}
 	if sp.Faults != "" {
 		cfg.Faults = &fault.Options{Schedule: sp.Faults, Seed: sp.FaultSeed, Policy: policy}

@@ -27,19 +27,19 @@ func TestRecorderDeterminism(t *testing.T) {
 
 	backends := []struct {
 		name string
-		b    Backend
+		b    string
 	}{
-		{"software", SoftwareGibbs},
-		{"first-to-fire", SoftwareFirstToFire},
-		{"metropolis", Metropolis},
-		{"rsu", RSU},
+		{"software", "software-gibbs"},
+		{"first-to-fire", "software-first-to-fire"},
+		{"metropolis", "metropolis"},
+		{"rsu", "rsu"},
 	}
 	for _, bk := range backends {
 		for _, w := range []int{1, workers} {
 			solve := func(rec Recorder) string {
 				t.Helper()
 				cfg := Config{
-					Backend: bk.b, RSUWidth: 1,
+					BackendName: bk.b, RSUWidth: 1,
 					Iterations: 12, BurnIn: 4, Seed: 5, Workers: w,
 					Recorder: rec,
 				}

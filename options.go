@@ -11,13 +11,6 @@ import (
 // validated by NewSolver exactly as a literal Config would be.
 type Option func(*Config)
 
-// WithBackend selects the sampling engine by compatibility constant
-// (default SoftwareGibbs). Prefer WithBackendName: the registry accepts
-// names for every backend, including ones without a constant.
-func WithBackend(b Backend) Option {
-	return func(c *Config) { c.Backend = b }
-}
-
 // WithBackendName selects the sampling engine by registry name — see
 // Backends() for the available names. Unknown names fail solver
 // construction with an error wrapping ErrInvalidConfig.
@@ -105,7 +98,7 @@ func WithFaults(fo FaultOptions) Option {
 }
 
 // NewSolverOpts builds a solver from options over a small sensible
-// default (SoftwareGibbs backend, 100 iterations, 30 burn-in, seed 0).
+// default (software-gibbs backend, 100 iterations, 30 burn-in, seed 0).
 // Equivalent to NewSolver with the corresponding Config literal; the
 // same validation applies and errors wrap ErrInvalidConfig.
 func NewSolverOpts(app App, opts ...Option) (*Solver, error) {

@@ -26,7 +26,7 @@
 //	scene := rsugibbs.BlobScene(128, 128, 5, 8, src)
 //	app, _ := rsugibbs.NewSegmentation(scene.Image, scene.Means, 2, 12)
 //	solver, _ := rsugibbs.NewSolver(app, rsugibbs.Config{
-//		Backend: rsugibbs.RSU, Iterations: 100, BurnIn: 30,
+//		BackendName: "rsu", Iterations: 100, BurnIn: 30,
 //		Compile: true, // precomputed-table sweep engine, bit-identical
 //	})
 //	res, _ := solver.Solve(context.Background())
@@ -36,7 +36,7 @@
 //
 //	reg := rsugibbs.NewMetrics()
 //	solver, _ := rsugibbs.NewSolverOpts(app,
-//		rsugibbs.WithBackend(rsugibbs.RSU),
+//		rsugibbs.WithBackendName("rsu"),
 //		rsugibbs.WithIterations(100), rsugibbs.WithBurnIn(30),
 //		rsugibbs.WithCompile(true), rsugibbs.WithRecorder(reg),
 //	)
@@ -152,26 +152,6 @@ type (
 	Config = core.Config
 	// Result carries the MAP estimate and diagnostics.
 	Result = core.Result
-	// Backend selects the sampling engine by registry index; prefer
-	// selecting by name (WithBackendName / Config.BackendName).
-	Backend = core.Backend
-)
-
-// Compatibility backend constants: aliases of the first five registry
-// entries. The registry (Backends, WithBackendName) is the source of
-// truth; newer backends — "spiking", "meanfield" — have no constant.
-const (
-	// SoftwareGibbs is the exact softmax Gibbs kernel.
-	SoftwareGibbs = core.SoftwareGibbs
-	// SoftwareFirstToFire races ideal exponential clocks (the RSU
-	// principle without hardware quantization).
-	SoftwareFirstToFire = core.SoftwareFirstToFire
-	// Metropolis is the uniform-proposal MH kernel.
-	Metropolis = core.Metropolis
-	// RSU emulates the paper's RSU-G functional unit.
-	RSU = core.RSU
-	// PrototypeBackend drives the emulated §7 macro bench (2 labels).
-	PrototypeBackend = core.Prototype
 )
 
 // Backend registry (internal/sampler): every sampling engine registers
@@ -197,9 +177,6 @@ type (
 var (
 	// Backends returns the registered backend names in registry order.
 	Backends = core.Backends
-	// ParseBackend resolves a registered name to its Backend value;
-	// unknown names wrap ErrInvalidConfig.
-	ParseBackend = core.ParseBackend
 	// LookupBackend returns the registered backend descriptor for a
 	// name (capability introspection).
 	LookupBackend = sampler.Lookup

@@ -15,7 +15,7 @@ func TestQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	solver, err := NewSolver(app, Config{
-		Backend: RSU, Iterations: 50, BurnIn: 20, Seed: 2,
+		BackendName: "rsu", Iterations: 50, BurnIn: 20, Seed: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
