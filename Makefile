@@ -12,6 +12,8 @@
 #   make race    race-detector pass over the whole module
 #   make bench   sweep-engine micro-benchmarks + throughput report
 #   make chaos   kill-and-recover harness (subprocess SIGKILL + resume)
+#   make faults-smoke  regenerate the fault sweep and diff it byte for
+#                byte against the committed BENCH_faults.json
 #   make obs-smoke  recorder determinism + metrics-snapshot schema gate
 #   make backends-smoke  approximate-sampler invariance tests + the
 #                cross-backend Pareto sweep gated against BENCH_backends.json
@@ -22,7 +24,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint lint-escape test race bench chaos faults-report obs-smoke kernel-report bench-smoke backends-report backends-smoke fuzz-smoke serve-smoke serve-chaos migrate-chaos all
+.PHONY: build vet lint lint-escape test race bench chaos faults-report faults-smoke obs-smoke kernel-report bench-smoke backends-report backends-smoke fuzz-smoke serve-smoke serve-chaos migrate-chaos all
 
 all: build vet lint test race
 
@@ -65,6 +67,16 @@ chaos:
 # the CI faults-smoke job diffs a fresh run against it byte-for-byte).
 faults-report:
 	$(GO) run ./cmd/paperbench -experiment faults -faultsjson BENCH_faults.json
+
+# Fault-sweep determinism gate, the same check as the CI faults-smoke
+# job: regenerate the sweep into a temp file and diff it against the
+# committed BENCH_faults.json (labels, cycle counts and audits are pure
+# functions of the seeds, so any difference is a behavior change).
+faults-smoke:
+	@tmp=$$(mktemp); \
+	$(GO) run ./cmd/paperbench -experiment faults -faultsjson $$tmp && \
+	diff -u BENCH_faults.json $$tmp; \
+	status=$$?; rm -f $$tmp; exit $$status
 
 # Regenerates the committed BENCH_kernel.json (pass BASELINE_NS to
 # record a pre-kernel same-machine reference ns/site).

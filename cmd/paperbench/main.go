@@ -37,7 +37,7 @@ import (
 )
 
 // experiments are the valid -experiment names.
-var experiments = []string{"ratio", "accelerator", "fidelity", "ablation", "gpusim", "faults", "backends", "checkpoint", "observed"}
+var experiments = []string{"ratio", "accelerator", "fidelity", "ablation", "gpusim", "faults", "backends", "observed"}
 
 // checkSelection rejects -table, -figure and -experiment values that
 // would select nothing, naming the valid ones.
@@ -179,11 +179,6 @@ func main() {
 				return bench.BackendsJSON(ctx, w, *backendsJSON)
 			}
 			return bench.Backends(ctx, w)
-		})
-	}
-	if *experiment == "checkpoint" {
-		run("Checkpoint overhead", func(w io.Writer) error {
-			return bench.Checkpoint(ctx, w)
 		})
 	}
 	if *experiment == "observed" {

@@ -27,7 +27,7 @@ func TestUnknownSelectionFails(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-experiment", "nosuch"}, "checkpoint, observed"},
+		{[]string{"-experiment", "nosuch"}, "backends, observed"},
 		{[]string{"-experiment", "sweep"}, "ratio, accelerator"},
 		{[]string{"-table", "9"}, "1, 2, 3, 4"},
 		{[]string{"-figure", "3"}, "7, 8"},

@@ -55,7 +55,7 @@ func main() {
 	queueDepth := flag.Int("queue", 64, "admission queue depth; submits past it are shed with 429")
 	shards := flag.Int("shards", 2, "solver shard count (jobs running concurrently)")
 	workerOverride := flag.Int("workers", 0, "override every job's solver worker count (0: honor the spec)")
-	cacheSize := flag.Int("model-cache", 8, "compiled-model cache capacity (-1 disables)")
+	cacheSize := flag.Int("model-cache", 8, "built-app cache capacity: saves scene synthesis and app construction, not table compilation (-1 disables)")
 	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint cadence in sweeps")
 	retries := flag.Int("retries", 3, "max retry attempts for transient failures")
 	backoffBase := flag.Duration("backoff-base", 100*time.Millisecond, "first retry delay")

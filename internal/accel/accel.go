@@ -19,6 +19,8 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
+	"repro/internal/fault"
+	"repro/internal/gibbs"
 	"repro/internal/img"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -78,13 +80,40 @@ type Stats struct {
 // so far (final labels, mode over completed post-half sweeps,
 // accumulated cycle stats) together with an error wrapping ctx.Err().
 func Run(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config) (*img.LabelMap, *img.LabelMap, Stats, error) {
+	lm, mode, stats, _, err := simulate(ctx, a, unit, cfg, nil)
+	return lm, mode, stats, err
+}
+
+// simulate is the one simulator loop behind Run and RunFaulty. With
+// fopt nil every site draws on the healthy array (unit.Sample); with
+// fopt set the fault session is in the loop and apps.FaultSite decides
+// each site, whose path drives the site accounting and the timing.
+func simulate(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config, fopt *fault.Options) (*img.LabelMap, *img.LabelMap, Stats, FaultStats, error) {
 	var stats Stats
+	var fstats FaultStats
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, stats, err
+		return nil, nil, stats, fstats, err
 	}
 	m := a.Model()
 	if err := m.Validate(); err != nil {
-		return nil, nil, stats, err
+		return nil, nil, stats, fstats, err
+	}
+	rec := cfg.Recorder
+	var sess *fault.Session
+	if fopt != nil {
+		sched, err := fault.Parse(fopt.Schedule)
+		if err != nil {
+			return nil, nil, stats, fstats, err
+		}
+		sched.Seed = fopt.Seed
+		tl, err := sched.Compile(m.H, cfg.Iterations, m.W, unit.Config().Replicas)
+		if err != nil {
+			return nil, nil, stats, fstats, err
+		}
+		if fopt.Recorder == nil {
+			fopt.Recorder = rec
+		}
+		sess = fault.NewSession(tl, *fopt)
 	}
 	lm := a.InitLabels()
 	src := rng.New(cfg.Seed)
@@ -98,8 +127,8 @@ func Run(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config) (*img.Labe
 		perVarCycles *= float64((rsu.QuiescenceCycles + r - 1) / r)
 	}
 	drain := float64(timing.Cycles) - perVarCycles + 1
+	perFallbackCycles := float64(m.M*fallbackCyclesPerLabel + fallbackSampleCycles)
 
-	rec := cfg.Recorder
 	obs.Gauge(rec, "accel.pipeline.eval_cycles", float64(timing.Cycles))
 	obs.Gauge(rec, "accel.pipeline.eval_steps", float64(timing.Steps))
 	obs.Gauge(rec, "accel.pipeline.per_var_cycles", perVarCycles)
@@ -107,31 +136,54 @@ func Run(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config) (*img.Labe
 
 	counts := make([]uint32, m.W*m.H*m.M)
 	half := cfg.Iterations / 2
+	site := apps.FaultSite{App: a, Unit: unit}
 
-	bytesPerSecond := cfg.MemBW
 	var stopErr error
 	for it := 0; it < cfg.Iterations; it++ {
 		if err := ctx.Err(); err != nil {
 			stopErr = fmt.Errorf("accel: run stopped before sweep %d/%d: %w", it, cfg.Iterations, err)
 			break
 		}
+		if sess != nil {
+			sess.BeginSweep(it)
+		}
 		for color := 0; color < m.Hood.Colors(); color++ {
 			endPhase := obs.Span(rec, "accel.color_phase")
-			sites := 0
+			rsuSites, fbSites := 0, 0
 			for y := 0; y < m.H; y++ {
-				for x := 0; x < m.W; x++ {
-					if m.Hood.ColorOf(x, y) != color {
-						continue
+				x0, ok := m.Hood.RowStride(color, y)
+				if !ok {
+					continue
+				}
+				var uc *fault.UnitCtx
+				if sess != nil {
+					uc = sess.Unit(y)
+				}
+				for x := x0; x < m.W; x += 2 {
+					label, path := 0, apps.PathRSU
+					if uc == nil {
+						l, _ := unit.Sample(a.RSUInput(lm, x, y), src)
+						label = int(l)
+					} else {
+						label, path = site.Sample(m, lm, x, y, src, uc)
 					}
-					sites++
-					in := a.RSUInput(lm, x, y)
-					label, _ := unit.Sample(in, src)
-					lm.Set(x, y, int(label))
+					switch path {
+					case apps.PathRSU:
+						rsuSites++
+					case apps.PathFallback:
+						fbSites++
+					case apps.PathSkip:
+						fstats.SkippedSites++
+					}
+					lm.Set(x, y, label)
 				}
 			}
-			// Phase timing: Units-wide array, pipelined issue.
-			computeCycles := float64(sites)/float64(cfg.Units)*perVarCycles + drain
-			memoryCycles := float64(sites) * cfg.BytesPerPixel / bytesPerSecond * cfg.ClockHz
+			fstats.RSUSites += uint64(rsuSites)
+			fstats.FallbackSites += uint64(fbSites)
+			// Phase timing: Units-wide array, pipelined issue; quarantined
+			// and fallback sites take neither array nor memory time.
+			computeCycles := float64(rsuSites)/float64(cfg.Units)*perVarCycles + drain
+			memoryCycles := float64(rsuSites) * cfg.BytesPerPixel / cfg.MemBW * cfg.ClockHz
 			if computeCycles >= memoryCycles {
 				stats.ComputeBoundPhases++
 				stats.Cycles += computeCycles
@@ -141,7 +193,13 @@ func Run(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config) (*img.Labe
 				stats.Cycles += memoryCycles
 				obs.Add(rec, "accel.phases.memory_bound", 1)
 			}
-			obs.Add(rec, "accel.sites", int64(sites))
+			// Fallback sites run on the scalar control core, serial with
+			// the array.
+			fb := float64(fbSites) * perFallbackCycles
+			stats.Cycles += fb
+			fstats.FallbackCycles += fb
+			obs.Add(rec, "accel.sites", int64(rsuSites))
+			obs.Add(rec, "accel.fallback_sites", int64(fbSites))
 			endPhase()
 		}
 		obs.Add(rec, "accel.sweeps", 1)
@@ -153,18 +211,11 @@ func Run(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config) (*img.Labe
 	}
 	stats.Seconds = stats.Cycles / cfg.ClockHz
 	stats.AnalyticBoundSeconds = float64(m.W*m.H) * float64(cfg.Iterations) * cfg.BytesPerPixel / cfg.MemBW
-
-	mode := img.NewLabelMap(m.W, m.H)
-	for i := 0; i < m.W*m.H; i++ {
-		best, bestC := 0, uint32(0)
-		for l := 0; l < m.M; l++ {
-			if c := counts[i*m.M+l]; c > bestC {
-				best, bestC = l, c
-			}
-		}
-		mode.Labels[i] = uint8(best)
+	if sess != nil {
+		fstats.Audit = sess.Audit()
+		fstats.Audit.Schedule = fopt.Schedule
 	}
-	return lm, mode, stats, stopErr
+	return lm, gibbs.Mode(counts, m.W, m.H, m.M), stats, fstats, stopErr
 }
 
 // PaperConfig returns the §8.2 design point for a workload: 336 units,

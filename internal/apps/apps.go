@@ -153,24 +153,3 @@ func RunSoftware(ctx context.Context, a App, init *img.LabelMap, opt gibbs.Optio
 func RunRSU(ctx context.Context, a App, u *rsu.Unit, init *img.LabelMap, opt gibbs.Options, seed uint64) (*gibbs.Result, error) {
 	return gibbs.Run(ctx, a.Model(), init, NewRSUSampler(a, u), opt, seed)
 }
-
-// PrecomputeSingleton returns a copy of m whose singleton potential is
-// served from a precomputed pixels×labels table — the paper's "Opt GPU"
-// memoization (§8.1). The table costs W*H*M float64s, which is the
-// scaling problem the paper points out.
-func PrecomputeSingleton(m *mrf.Model) *mrf.Model {
-	table := make([]float64, m.W*m.H*m.M)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			base := (y*m.W + x) * m.M
-			for l := 0; l < m.M; l++ {
-				table[base+l] = m.Singleton(x, y, l)
-			}
-		}
-	}
-	clone := *m
-	clone.Singleton = func(x, y, label int) float64 {
-		return table[(y*m.W+x)*m.M+label]
-	}
-	return &clone
-}

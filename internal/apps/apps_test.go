@@ -103,21 +103,6 @@ func TestSegmentationRSUMatchesSoftware(t *testing.T) {
 	}
 }
 
-func TestPrecomputeSingletonEquivalence(t *testing.T) {
-	app, _ := segApp(t, 12, 10, 5, 7)
-	m := app.Model()
-	opt := PrecomputeSingleton(m)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			for l := 0; l < m.M; l++ {
-				if m.Singleton(x, y, l) != opt.Singleton(x, y, l) {
-					t.Fatalf("precomputed singleton differs at (%d,%d,%d)", x, y, l)
-				}
-			}
-		}
-	}
-}
-
 func TestKMeans1D(t *testing.T) {
 	im := img.NewGray(10, 10)
 	for i := range im.Pix {

@@ -6,9 +6,8 @@ import (
 )
 
 // sweepGridW and sweepGridH are the grid of the synthetic sweep model
-// the checkpoint and observed experiments time: the acceptance
-// configuration of the sweep engine is the exact-Gibbs checkerboard
-// sweep at 256x256, M=16.
+// the observed experiment times: the acceptance configuration of the
+// sweep engine is the exact-Gibbs checkerboard sweep at 256x256, M=16.
 const sweepGridW, sweepGridH = 256, 256
 
 // sweepModel builds the segmentation-shaped synthetic model used by the

@@ -375,8 +375,10 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 		// An already-compiled model is reused as-is: tables depend only
 		// on the model parameters, and table evaluation is bit-identical
 		// to the closure path, so recompiling could only waste work.
-		// This is what lets a serving layer share one compiled model
-		// across many sequential jobs (internal/serve's compile cache).
+		// Every built-in app's Model() returns a fresh *mrf.Model,
+		// though, so for them this compiles the tables on every job;
+		// internal/serve's app cache saves scene synthesis and app
+		// construction, not compilation.
 		if err := m.Compile(); err != nil {
 			return nil, err
 		}

@@ -9,8 +9,11 @@ import (
 	"repro/internal/rng"
 )
 
-// engine is the high-throughput sweep machinery behind Run: a persistent
-// worker pool plus color-strided site iteration for checkerboard sweeps.
+// engine is the sweep machinery behind Run, for both schedules: a
+// persistent worker pool plus color-strided site iteration. A raster
+// sweep is the degenerate pass — one color, stride 1, one worker,
+// every row on the chain stream — so both schedules share one site
+// loop and one choice of the fused kernel.
 //
 // Three properties distinguish it from a naive per-iteration fan-out:
 //
@@ -35,6 +38,11 @@ type engine struct {
 	lm       *img.LabelMap
 	samplers []Sampler
 	rowSrc   []*rng.Source // len m.H; rowSrc[y] drives row y
+
+	// colors is the number of color passes per sweep and stride the x
+	// step between a pass's sites in one row: Hood.Colors() and 2 for
+	// checkerboard, 1 and 1 for raster.
+	colors, stride int
 
 	work []chan span    // one channel per worker; nil until start
 	wg   sync.WaitGroup // open spans in the current color pass
@@ -68,12 +76,15 @@ type span struct {
 	color, y0, y1 int
 }
 
-// newEngine wires an engine over chain state lm. len(samplers) sets the
-// worker count; rowSrc must have one entry per row (entries may repeat
-// a single source when len(samplers) == 1, e.g. to drive all rows from
-// one sequential stream in tests).
-func newEngine(m *mrf.Model, lm *img.LabelMap, samplers []Sampler, rowSrc []*rng.Source) *engine {
-	e := &engine{m: m, lm: lm, samplers: samplers, rowSrc: rowSrc}
+// newEngine wires an engine over chain state lm for the given schedule.
+// len(samplers) sets the worker count; rowSrc must have one entry per
+// row (entries may repeat a single source when len(samplers) == 1, as
+// a raster run does to drive all rows from its one sequential stream).
+func newEngine(m *mrf.Model, lm *img.LabelMap, sched Schedule, samplers []Sampler, rowSrc []*rng.Source) *engine {
+	e := &engine{m: m, lm: lm, samplers: samplers, rowSrc: rowSrc, colors: 1, stride: 1}
+	if sched == Checkerboard {
+		e.colors, e.stride = m.Hood.Colors(), 2
+	}
 	// The fused kernel implements exactly the ExactGibbs update; any
 	// other sampler (first-to-fire, Metropolis, fault-injection
 	// wrappers) keeps the per-site dispatch path.
@@ -139,9 +150,10 @@ func (e *engine) stop() {
 	e.work = nil
 }
 
-// sweep performs one checkerboard iteration: every conditional-
-// independence color class in turn, each class swept tile by tile in
-// parallel by the pool (or inline for one worker).
+// sweep performs one iteration: every conditional-independence color
+// class in turn (the single raster pass for a raster engine), each
+// class swept tile by tile in parallel by the pool (or inline for one
+// worker).
 //
 // The color barrier (wg.Wait) is global, never per tile: a tile-local
 // color0+color1 pass would read neighbor labels a W=1 chain has not
@@ -151,7 +163,7 @@ func (e *engine) stop() {
 // identical for every worker count (RNG streams belong to rows), and
 // workers write disjoint whole-row bands.
 func (e *engine) sweep() {
-	colors := e.m.Hood.Colors()
+	colors := e.colors
 	workers := len(e.samplers)
 	H := e.m.H
 	tile := e.tileRows
@@ -179,12 +191,12 @@ func (e *engine) sweep() {
 //
 //rsulint:hot
 func (e *engine) sweepSpan(w int, sp span) {
-	m, lm := e.m, e.lm
+	m, lm, stride := e.m, e.lm, e.stride
 	if k := e.kernel; k != nil && k.Ready() {
 		sc := mrf.GetScratch(m.M)
 		for y := sp.y0; y < sp.y1; y++ {
-			if x0, ok := m.Hood.RowStride(sp.color, y); ok {
-				k.SweepRow(lm, y, x0, 2, e.rowSrc[y], sc)
+			if x0, ok := e.rowStart(sp.color, y); ok {
+				k.SweepRow(lm, y, x0, stride, e.rowSrc[y], sc)
 			}
 		}
 		mrf.PutScratch(sc)
@@ -192,14 +204,24 @@ func (e *engine) sweepSpan(w int, sp span) {
 	}
 	s := e.samplers[w]
 	for y := sp.y0; y < sp.y1; y++ {
-		x0, ok := m.Hood.RowStride(sp.color, y)
+		x0, ok := e.rowStart(sp.color, y)
 		if !ok {
 			continue
 		}
 		src := e.rowSrc[y]
 		base := y * m.W
-		for x := x0; x < m.W; x += 2 {
+		for x := x0; x < m.W; x += stride {
 			lm.Labels[base+x] = uint8(s.SampleSite(m, lm, x, y, src))
 		}
 	}
+}
+
+// rowStart returns the x of the first site of color's pass in row y, or
+// ok=false when the row has none: x = 0 for a raster pass, the color's
+// RowStride start for a checkerboard pass.
+func (e *engine) rowStart(color, y int) (x0 int, ok bool) {
+	if e.stride == 1 {
+		return 0, true
+	}
+	return e.m.Hood.RowStride(color, y)
 }

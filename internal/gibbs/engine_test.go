@@ -124,18 +124,20 @@ func TestWorkerCountInvariance(t *testing.T) {
 
 // TestEngineStridedCoverage: one engine sweep must update exactly the
 // sites the schedule owns — the strided loop may not miss or duplicate
-// a site of either color class.
+// a site of either color class, and the raster pass visits every site.
 func TestEngineStridedCoverage(t *testing.T) {
-	for _, hood := range []mrf.Neighborhood{mrf.FirstOrder, mrf.SecondOrder} {
-		m := engineModel(11, 7, 3, hood)
-		visited := img.NewLabelMap(m.W, m.H)
-		counter := &countingSampler{hits: visited}
-		eng := newEngine(m, img.NewLabelMap(m.W, m.H), []Sampler{counter}, rowRepeat(m.H))
-		eng.sweep()
-		for y := 0; y < m.H; y++ {
-			for x := 0; x < m.W; x++ {
-				if got := visited.At(x, y); got != 1 {
-					t.Fatalf("%v: site (%d,%d) visited %d times", hood, x, y, got)
+	for _, sched := range []Schedule{Raster, Checkerboard} {
+		for _, hood := range []mrf.Neighborhood{mrf.FirstOrder, mrf.SecondOrder} {
+			m := engineModel(11, 7, 3, hood)
+			visited := img.NewLabelMap(m.W, m.H)
+			counter := &countingSampler{hits: visited}
+			eng := newEngine(m, img.NewLabelMap(m.W, m.H), sched, []Sampler{counter}, rowRepeat(m.H))
+			eng.sweep()
+			for y := 0; y < m.H; y++ {
+				for x := 0; x < m.W; x++ {
+					if got := visited.At(x, y); got != 1 {
+						t.Fatalf("%v/%v: site (%d,%d) visited %d times", sched, hood, x, y, got)
+					}
 				}
 			}
 		}

@@ -273,9 +273,10 @@ func Run(ctx context.Context, m *mrf.Model, init *img.LabelMap, factory Factory,
 		workers = m.H // a worker owns at least one row
 	}
 
-	// Per-worker samplers (scratch state), a sequential chain stream for
-	// raster sweeps, and — for checkerboard sweeps — one decorrelated
-	// stream per row so results are independent of the worker count.
+	// Per-worker samplers (scratch state) and the row streams: a raster
+	// run drives every row from its one sequential chain stream, a
+	// checkerboard run gives each row its own decorrelated stream so
+	// results are independent of the worker count.
 	root := rng.New(seed)
 	chain := root.Split()
 	samplers := make([]Sampler, workers)
@@ -284,19 +285,22 @@ func Run(ctx context.Context, m *mrf.Model, init *img.LabelMap, factory Factory,
 	}
 	res.SamplerName = samplers[0].Name()
 
-	var eng *engine
 	cs := &chainState{m: m, lm: lm, chain: chain, counts: counts}
-	if opt.Schedule == Checkerboard {
-		rowSrc := make([]*rng.Source, m.H)
-		for y := range rowSrc {
+	rowSrc := make([]*rng.Source, m.H)
+	for y := range rowSrc {
+		if opt.Schedule == Raster {
+			rowSrc[y] = chain
+		} else {
 			rowSrc[y] = root.Split()
 		}
-		cs.rowSrc = rowSrc
-		eng = newEngine(m, lm, samplers, rowSrc)
-		eng.rec = rec
-		eng.start()
-		defer eng.stop()
 	}
+	if opt.Schedule == Checkerboard {
+		cs.rowSrc = rowSrc // raster snapshots carry the chain stream only
+	}
+	eng := newEngine(m, lm, opt.Schedule, samplers, rowSrc)
+	eng.rec = rec
+	eng.start()
+	defer eng.stop()
 
 	start := 0
 	if opt.Resume != nil {
@@ -366,11 +370,7 @@ func Run(ctx context.Context, m *mrf.Model, init *img.LabelMap, factory Factory,
 			m.RetuneRateLUT() // keep the compiled rate LUT on the new temperature
 		}
 		endSweep := obs.Span(rec, "gibbs.sweep")
-		if opt.Schedule == Raster {
-			sweepRaster(m, lm, samplers[0], chain)
-		} else {
-			eng.sweep()
-		}
+		eng.sweep()
 		endSweep()
 		obs.Add(rec, "gibbs.sweeps", 1)
 		obs.Add(rec, "gibbs.sites", int64(m.W*m.H))
@@ -412,42 +412,31 @@ func finish(res *Result, cs *chainState, opt Options, completed int) {
 		return
 	}
 	m := cs.m
-	res.MAP = img.NewLabelMap(m.W, m.H)
+	res.MAP = Mode(cs.counts, m.W, m.H, m.M)
 	res.Confidence = img.NewGray(m.W, m.H)
-	samples := uint32(0)
-	if completed > opt.BurnIn {
-		samples = uint32(completed - opt.BurnIn)
+	if completed <= opt.BurnIn {
+		return
 	}
-	for i := 0; i < m.W*m.H; i++ {
-		best, bestC := 0, uint32(0)
-		for l := 0; l < m.M; l++ {
-			if c := cs.counts[i*m.M+l]; c > bestC {
-				best, bestC = l, c
-			}
-		}
-		res.MAP.Labels[i] = uint8(best)
-		if samples > 0 {
-			res.Confidence.Pix[i] = uint8(bestC * 255 / samples)
-		}
+	samples := uint32(completed - opt.BurnIn)
+	for i, l := range res.MAP.Labels {
+		res.Confidence.Pix[i] = uint8(cs.counts[i*m.M+int(l)] * 255 / samples)
 	}
 }
 
-func sweepRaster(m *mrf.Model, lm *img.LabelMap, s Sampler, src *rng.Source) {
-	if _, ok := s.(*ExactGibbs); ok {
-		if k := m.Kernel(); k != nil && k.Ready() {
-			sc := mrf.GetScratch(m.M)
-			for y := 0; y < m.H; y++ {
-				k.SweepRow(lm, y, 0, 1, src, sc)
+// Mode returns the per-site most frequent label of a w×h mode-count
+// table laid out counts[site*m+label], the lowest label on a tie.
+func Mode(counts []uint32, w, h, m int) *img.LabelMap {
+	mode := img.NewLabelMap(w, h)
+	for i := range mode.Labels {
+		best, bestC := 0, uint32(0)
+		for l := 0; l < m; l++ {
+			if c := counts[i*m+l]; c > bestC {
+				best, bestC = l, c
 			}
-			mrf.PutScratch(sc)
-			return
 		}
+		mode.Labels[i] = uint8(best)
 	}
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			lm.Set(x, y, s.SampleSite(m, lm, x, y, src))
-		}
-	}
+	return mode
 }
 
 // GeometricAnneal returns an annealing schedule T(t) = t0 * r^t, floored

@@ -78,15 +78,10 @@ func stationarityCheck(t *testing.T, factory Factory, schedule Schedule, iters i
 	src := rng.New(12345)
 	counts := make([]int, len(want))
 	// Single-worker engine with every row on one sequential stream.
-	eng := newEngine(m, lm, []Sampler{sampler}, []*rng.Source{src, src})
+	eng := newEngine(m, lm, schedule, []Sampler{sampler}, []*rng.Source{src, src})
 	const burn = 200
 	for it := 0; it < iters; it++ {
-		switch schedule {
-		case Raster:
-			sweepRaster(m, lm, sampler, src)
-		default:
-			eng.sweep()
-		}
+		eng.sweep()
 		if it >= burn {
 			counts[encodeState(lm, m.M)]++
 		}
@@ -129,7 +124,7 @@ func TestSecondOrderStationarity(t *testing.T) {
 	sampler := NewExactGibbs()()
 	src := rng.New(777)
 	counts := make([]int, len(want))
-	eng := newEngine(m, lm, []Sampler{sampler}, []*rng.Source{src, src})
+	eng := newEngine(m, lm, Checkerboard, []Sampler{sampler}, []*rng.Source{src, src})
 	const iters, burn = 150000, 200
 	for it := 0; it < iters; it++ {
 		eng.sweep()

@@ -116,7 +116,7 @@ func BenchmarkSweepSteadyState(b *testing.B) {
 				for y := range rowSrc {
 					rowSrc[y] = root.Split()
 				}
-				eng := newEngine(model, lm, samplers, rowSrc)
+				eng := newEngine(model, lm, Checkerboard, samplers, rowSrc)
 				eng.start()
 				defer eng.stop()
 				eng.sweep() // warm sampler scratch and the kernel pool

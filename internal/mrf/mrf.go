@@ -235,22 +235,3 @@ func (m *Model) TotalEnergy(lm *img.LabelMap) float64 {
 	}
 	return e
 }
-
-// Color returns the checkerboard color (0 or 1) of a site. All sites of
-// one color are conditionally independent given the other color (paper
-// §4.2: "all the gray random variables can be updated simultaneously").
-func Color(x, y int) int { return (x + y) & 1 }
-
-// CheckerboardSites returns the coordinates of all sites with the given
-// color in raster order.
-func CheckerboardSites(w, h, color int) [][2]int {
-	sites := make([][2]int, 0, (w*h+1)/2)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if Color(x, y) == color {
-				sites = append(sites, [2]int{x, y})
-			}
-		}
-	}
-	return sites
-}

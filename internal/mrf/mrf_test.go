@@ -170,23 +170,7 @@ func TestTotalEnergyDeltaConsistency(t *testing.T) {
 // TestCheckerboardIsProper2Coloring: no two 4-neighbors share a color and
 // the two color classes partition the grid.
 func TestCheckerboardIsProper2Coloring(t *testing.T) {
-	w, h := 7, 5
-	s0 := CheckerboardSites(w, h, 0)
-	s1 := CheckerboardSites(w, h, 1)
-	if len(s0)+len(s1) != w*h {
-		t.Fatalf("partition sizes %d+%d != %d", len(s0), len(s1), w*h)
-	}
-	for _, s := range s0 {
-		for _, off := range NeighborOffsets {
-			nx, ny := s[0]+off[0], s[1]+off[1]
-			if nx < 0 || nx >= w || ny < 0 || ny >= h {
-				continue
-			}
-			if Color(nx, ny) == 0 {
-				t.Fatalf("neighbors (%v) and (%d,%d) share color", s, nx, ny)
-			}
-		}
-	}
+	checkProperColoring(t, FirstOrder, 7, 5)
 }
 
 func TestSquaredDiff(t *testing.T) {

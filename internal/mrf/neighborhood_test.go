@@ -31,24 +31,31 @@ func TestNeighborhoodMetadata(t *testing.T) {
 }
 
 // TestSecondOrderColoringIsProper: no two 8-neighbors share a color, and
-// the four classes partition the grid.
+// the four 2×2-block classes partition the grid.
 func TestSecondOrderColoringIsProper(t *testing.T) {
-	w, h := 9, 7
-	counts := make([]int, 4)
+	checkProperColoring(t, SecondOrder, 9, 7)
+}
+
+// checkProperColoring asserts that no two clique neighbors of hood share
+// a color on a w×h grid and that the Colors() classes, all non-empty,
+// partition it.
+func checkProperColoring(t *testing.T, hood Neighborhood, w, h int) {
+	t.Helper()
+	counts := make([]int, hood.Colors())
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			c := SecondOrder.ColorOf(x, y)
-			if c < 0 || c > 3 {
-				t.Fatalf("color %d out of range", c)
+			c := hood.ColorOf(x, y)
+			if c < 0 || c >= hood.Colors() {
+				t.Fatalf("%v: color %d out of range", hood, c)
 			}
 			counts[c]++
-			for _, off := range SecondOrder.Offsets() {
+			for _, off := range hood.Offsets() {
 				nx, ny := x+off[0], y+off[1]
 				if nx < 0 || nx >= w || ny < 0 || ny >= h {
 					continue
 				}
-				if SecondOrder.ColorOf(nx, ny) == c {
-					t.Fatalf("8-neighbors (%d,%d) and (%d,%d) share color %d", x, y, nx, ny, c)
+				if hood.ColorOf(nx, ny) == c {
+					t.Fatalf("%v: neighbors (%d,%d) and (%d,%d) share color %d", hood, x, y, nx, ny, c)
 				}
 			}
 		}
@@ -56,12 +63,12 @@ func TestSecondOrderColoringIsProper(t *testing.T) {
 	total := 0
 	for _, c := range counts {
 		if c == 0 {
-			t.Fatal("empty color class")
+			t.Fatalf("%v: empty color class", hood)
 		}
 		total += c
 	}
 	if total != w*h {
-		t.Fatalf("partition covers %d of %d sites", total, w*h)
+		t.Fatalf("%v: partition covers %d of %d sites", hood, total, w*h)
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 //
 // The caller owns the policy loop: call uc.AfterSample after each
 // sample and react to the returned fault.Reaction (see
-// apps.NewFaultRSUSampler).
+// apps.FaultSite).
 func (u *Unit) SampleFaulty(in Input, src *rng.Source, uc *fault.UnitCtx) (fixed.Label, Timing) {
 	if in.Data2PerLabel != nil && len(in.Data2PerLabel) < u.cfg.M {
 		panic(fmt.Sprintf("rsu: Data2PerLabel has %d entries, need %d", len(in.Data2PerLabel), u.cfg.M))

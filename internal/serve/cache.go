@@ -6,11 +6,12 @@ import (
 	"repro/internal/apps"
 )
 
-// appCache is the LRU of built applications with Compile()d potential
-// tables, keyed by JobSpec.ModelKey. The serving assumption (ROADMAP
-// item 1) is many users, few distinct models: synthesizing the scene
-// and materializing the tables dominates small solves, so sequential
-// jobs against the same model should pay it once.
+// appCache is the LRU of built applications (synthesized scene plus
+// constructed app), keyed by JobSpec.ModelKey. The serving assumption
+// is many users, few distinct models, so sequential jobs against the
+// same model should pay scene synthesis and app construction once. It
+// does not cache compiled potential tables: every app's Model()
+// returns a fresh *mrf.Model, so core.Solve compiles on every job.
 //
 // Instances are *checked out*, not shared: a Get removes the instance
 // from the cache and hands the caller exclusive ownership for the

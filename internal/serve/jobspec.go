@@ -169,10 +169,9 @@ func (sp JobSpec) Validate() error {
 	return nil
 }
 
-// ModelKey fingerprints the fields that determine the MRF model and its
-// compiled tables — the compile-cache key. Chain parameters (seed,
-// iterations, backend) are deliberately excluded: many jobs, few
-// distinct models.
+// ModelKey fingerprints the fields that determine the MRF model — the
+// app-cache key. Chain parameters (seed, iterations, backend) are
+// deliberately excluded: many jobs, few distinct models.
 func (sp JobSpec) ModelKey() string {
 	sp = sp.withDefaults()
 	return fmt.Sprintf("%s/size=%d/labels=%d/scene=%d", sp.App, sp.Size, sp.Labels, sp.SceneSeed)
@@ -196,7 +195,7 @@ func checkBackend(name string) error {
 
 // buildApp synthesizes the spec's deterministic scene and constructs
 // the application over it. Expensive relative to small solves — which
-// is exactly what the compile cache amortizes.
+// is exactly what the app cache amortizes.
 func buildApp(sp JobSpec) (apps.App, error) {
 	sp = sp.withDefaults()
 	src := rng.New(sp.SceneSeed)

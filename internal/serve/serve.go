@@ -113,8 +113,10 @@ type Config struct {
 	// Workers — safe because seeded results are worker-count-invariant,
 	// and exactly what the chaos harness uses to prove W=1↔W=N resume.
 	WorkerOverride int
-	// ModelCacheSize is the compile-cache capacity in checked-in app
+	// ModelCacheSize is the app-cache capacity in checked-in app
 	// instances (default 8; 0 keeps the default, negative disables).
+	// The cache saves scene synthesis and app construction; potential
+	// tables are still compiled per job.
 	ModelCacheSize int
 	// CheckpointEverySweeps is the per-job snapshot cadence (default 1:
 	// every sweep boundary is durable, the strongest resume guarantee).
