@@ -9,7 +9,7 @@
 // Format (all integers little-endian):
 //
 //	[8]  magic "RSUGCKPT"
-//	[4]  format version (uint32)
+//	[4]  format version (uint32, see Version)
 //	[8]  payload length (uint64)
 //	[n]  payload
 //	[8]  CRC-64/ECMA over everything above (uint64)
@@ -18,7 +18,10 @@
 // version-spliced file is rejected with ErrCorrupt before any field is
 // interpreted. Snapshots are byte-deterministic: the same chain state
 // always encodes to the same bytes, for any worker count, so snapshot
-// files can themselves be golden-diffed.
+// files can themselves be golden-diffed. Since format v3 the payload
+// stores the mode counters sparsely (per site, only the labels the
+// chain has drawn), so a snapshot's size follows what the chain
+// produced rather than W*H*M.
 package checkpoint
 
 import (
@@ -27,6 +30,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -39,7 +43,12 @@ const (
 	// v2: the label field is one byte per site (labels are bit-packed
 	// uint8 throughout the runtime; M <= 256), halving snapshot size
 	// versus the v1 uint16 encoding.
-	Version = 2
+	//
+	// v3: the mode counters are sparse. Per site, a uvarint count of
+	// nonzero labels, then one (u8 label, uvarint count) pair per
+	// nonzero label in ascending label order; v2 stored W*H*M dense
+	// uint32s.
+	Version = 3
 
 	magic      = "RSUGCKPT"
 	headerLen  = len(magic) + 4 + 8
@@ -233,7 +242,6 @@ func (s *Snapshot) Section(name string) ([]byte, bool) {
 type enc struct{ buf []byte }
 
 func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *enc) u16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
 func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *enc) f64(v float64) {
@@ -254,6 +262,37 @@ func (e *enc) bool(v bool) {
 		e.u8(0)
 	}
 }
+
+// counts writes the sparse mode-count section: for each site, the
+// number of nonzero labels as a uvarint, then (u8 label, uvarint count)
+// for each of them in ascending label order. One pass per site: the
+// label count goes into a one-byte slot reserved ahead of the pairs,
+// widened in place in the rare case it needs two bytes (M > 127).
+func (e *enc) counts(counts []uint32, m int) {
+	buf := e.buf // a local slice header stays in registers
+	for site := 0; site < len(counts); site += m {
+		at := len(buf)
+		buf = append(buf, 0)
+		nnz := 0
+		for l, c := range counts[site : site+m] {
+			if c != 0 {
+				buf = binary.AppendUvarint(append(buf, uint8(l)), uint64(c))
+				nnz++
+			}
+		}
+		if nnz < 0x80 {
+			buf[at] = uint8(nnz)
+			continue
+		}
+		buf = append(buf, 0)
+		copy(buf[at+2:], buf[at+1:])
+		binary.PutUvarint(buf[at:], uint64(nnz))
+	}
+	e.buf = buf
+}
+
+// uvarintLen is the byte length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // dec is the matching bounds-checked reader; the first overrun poisons
 // it and every subsequent read reports failure.
@@ -278,13 +317,6 @@ func (d *dec) u8() uint8 {
 		return 0
 	}
 	return b[0]
-}
-func (d *dec) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
 }
 func (d *dec) u32() uint32 {
 	b := d.take(4)
@@ -312,13 +344,81 @@ func (d *dec) blob() []byte {
 }
 func (d *dec) bool() bool { return d.u8() != 0 }
 
+// uvarint reads a minimally encoded uvarint; a truncated, overlong or
+// non-minimal encoding poisons the reader, so every accepted payload
+// has exactly one byte form.
+func (d *dec) uvarint() uint64 {
+	if d.bad {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf[d.off:])
+	if n <= 0 || n != uvarintLen(v) {
+		d.bad = true
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// counts reads the sparse mode-count section of sites sites into a
+// dense sites*m array, rejecting anything enc.counts cannot produce:
+// more than m nonzero labels at a site, a label out of range or out of
+// ascending order, a zero count, or a count above MaxUint32. A dense
+// array past the payload cap is refused before it is allocated.
+func (d *dec) counts(sites, m int) ([]uint32, error) {
+	if sites > len(d.buf)-d.off { // every site takes at least one byte
+		return nil, fmt.Errorf("%w: counter section truncated", ErrCorrupt)
+	}
+	if sites*m > maxPayload/4 { // the dense block stays within the payload cap
+		return nil, fmt.Errorf("%w: implausible counter block of %d sites x %d labels", ErrCorrupt, sites, m)
+	}
+	counts := make([]uint32, sites*m)
+	for site := 0; site < sites; site++ {
+		nnz := d.uvarint()
+		if nnz > uint64(m) {
+			return nil, fmt.Errorf("%w: site %d has %d nonzero labels, M=%d", ErrCorrupt, site, nnz, m)
+		}
+		row := counts[site*m : site*m+m]
+		next := 0 // the smallest label the next pair may carry
+		for k := uint64(0); k < nnz; k++ {
+			l := int(d.u8())
+			c := d.uvarint()
+			switch {
+			case d.bad:
+				return nil, fmt.Errorf("%w: counter section truncated or malformed at site %d", ErrCorrupt, site)
+			case l < next || l >= m:
+				return nil, fmt.Errorf("%w: site %d label %d out of order or outside [0,%d)", ErrCorrupt, site, l, m)
+			case c == 0 || c > math.MaxUint32:
+				return nil, fmt.Errorf("%w: site %d label %d count %d outside [1,MaxUint32]", ErrCorrupt, site, l, c)
+			}
+			row[l] = uint32(c)
+			next = l + 1
+		}
+	}
+	if d.bad {
+		return nil, fmt.Errorf("%w: counter section truncated", ErrCorrupt)
+	}
+	return counts, nil
+}
+
 // Encode serializes the snapshot to its canonical byte form (header,
-// payload, checksum).
+// payload, checksum), writing all three into one buffer sized up front
+// by encodedLen.
 func Encode(s *Snapshot) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	var e enc
+	// Sections are written sorted by name for byte determinism.
+	names := make([]string, 0, len(s.Sections))
+	for name := range s.Sections {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	e := enc{buf: make([]byte, 0, encodedLen(s, names))}
+	e.buf = append(e.buf, magic...)
+	e.u32(Version)
+	e.u64(0) // payload length, patched below
 	// Fingerprint.
 	e.str(s.Fingerprint.App)
 	e.str(s.Fingerprint.Backend)
@@ -346,35 +446,43 @@ func Encode(s *Snapshot) ([]byte, error) {
 			e.u64(w)
 		}
 	}
-	// Diagnostics accumulators.
-	e.u64(uint64(len(s.Counts)))
-	for _, c := range s.Counts {
-		e.u32(c)
-	}
+	// Diagnostics accumulators: a presence byte, then the sparse mode
+	// counters of every site.
+	e.bool(s.Counts != nil)
+	e.counts(s.Counts, s.M)
 	e.u64(uint64(len(s.Energy)))
 	for _, v := range s.Energy {
 		e.f64(v)
 	}
-	// Sections, sorted by name for byte determinism.
-	names := make([]string, 0, len(s.Sections))
-	for name := range s.Sections {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	e.u64(uint64(len(names)))
 	for _, name := range names {
 		e.str(name)
 		e.bytes(s.Sections[name])
 	}
 
-	payload := e.buf
-	out := make([]byte, 0, headerLen+len(payload)+trailerLen)
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint64(out, crc64.Checksum(out, crcTable))
-	return out, nil
+	binary.LittleEndian.PutUint64(e.buf[len(magic)+4:], uint64(len(e.buf)-headerLen))
+	e.u64(crc64.Checksum(e.buf, crcTable))
+	return e.buf, nil
+}
+
+// encodedLen is the length of Encode's output for s, whose section
+// names are names, with the counter section at its one-byte-per-site
+// floor: the (label, count) pairs the chain has drawn are appended past
+// it. Sizing them exactly would take another pass over all W*H*M
+// counters, which costs more than the buffer growth it saves.
+func encodedLen(s *Snapshot, names []string) int {
+	n := headerLen +
+		4 + len(s.Fingerprint.App) + 4 + len(s.Fingerprint.Backend) + 3*8 + 1 + 2*8 + 4 + len(s.Fingerprint.Tag) +
+		4*8 + // sweep and geometry
+		len(s.Labels) +
+		len(s.Chain)*8 + 8 + len(s.Rows)*len(s.Chain)*8 +
+		1 + len(s.Counts)/s.M +
+		8 + len(s.Energy)*8 +
+		8 + trailerLen
+	for _, name := range names {
+		n += 4 + len(name) + 8 + len(s.Sections[name])
+	}
+	return n
 }
 
 // Decode parses and fully validates a snapshot produced by Encode.
@@ -418,7 +526,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	s.W = int(d.u64())
 	s.H = int(d.u64())
 	s.M = int(d.u64())
-	if d.bad || s.W <= 0 || s.H <= 0 || s.W*s.H > maxPayload/2 {
+	if d.bad || s.W <= 0 || s.H <= 0 || s.W > maxPayload || s.H > maxPayload || s.W*s.H > maxPayload/2 || s.M < 2 || s.M > 256 {
 		return nil, fmt.Errorf("%w: implausible geometry", ErrCorrupt)
 	}
 	s.Labels = append([]uint8(nil), d.take(s.W*s.H)...)
@@ -437,15 +545,15 @@ func Decode(data []byte) (*Snapshot, error) {
 			}
 		}
 	}
-	nCounts := d.u64()
-	if nCounts > maxPayload/4 {
-		return nil, fmt.Errorf("%w: implausible counter block", ErrCorrupt)
-	}
-	if nCounts > 0 {
-		s.Counts = make([]uint32, nCounts)
-		for i := range s.Counts {
-			s.Counts[i] = d.u32()
+	switch d.u8() {
+	case 0:
+	case 1:
+		var err error
+		if s.Counts, err = d.counts(s.W*s.H, s.M); err != nil {
+			return nil, err
 		}
+	default:
+		return nil, fmt.Errorf("%w: bad counter presence byte", ErrCorrupt)
 	}
 	nEnergy := d.u64()
 	if nEnergy > maxPayload/8 {

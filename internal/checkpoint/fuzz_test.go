@@ -11,7 +11,10 @@ import (
 
 // fuzzSeedSnapshot builds a small but fully populated snapshot so the
 // fuzzer starts from a structurally valid envelope and mutates inward:
-// every optional block (rows, counts, energy, sections) is present.
+// every optional block (rows, counts, energy, sections) is present, and
+// the sparse counter section has empty sites, single-label sites and
+// sites with several labels, including a count that needs a multi-byte
+// varint.
 func fuzzSeedSnapshot() *Snapshot {
 	s := &Snapshot{
 		Fingerprint: Fingerprint{
@@ -23,7 +26,10 @@ func fuzzSeedSnapshot() *Snapshot {
 		Labels: []uint8{0, 1, 2, 0, 1, 2, 0, 1},
 		Chain:  [4]uint64{1, 2, 3, 4},
 		Rows:   [][4]uint64{{5, 6, 7, 8}, {9, 10, 11, 12}},
-		Counts: make([]uint32, 4*2*3),
+		Counts: []uint32{
+			3, 0, 1, 0, 4, 0, 1, 1, 1, 0, 0, 0,
+			0, 0, 200, 2, 0, 0, 0, 5, 9, 1000, 0, 1,
+		},
 		Energy: []float64{-12.5, -11.25},
 	}
 	s.SetSection(SectionFault, []byte(`{"version":2}`))

@@ -31,6 +31,12 @@ type CheckpointPolicy struct {
 	// path, atomically replacing the previous one). A Sink error aborts
 	// the run: a checkpoint the caller asked for but could not keep is
 	// a durability hole, not a warning.
+	//
+	// The snapshot's Labels, Counts and Energy are the chain's live
+	// slices, lent for the duration of the call the way io.Writer lends
+	// p: Sink must not modify them, and the chain overwrites them on
+	// the next sweep. A Sink that keeps the snapshot past its return
+	// must keep snap.Clone() instead.
 	Sink func(*checkpoint.Snapshot) error
 	// Extra, if non-nil, is called on each snapshot before Sink to
 	// attach backend sections (fault-session state, RET aging state)
@@ -70,16 +76,19 @@ type chainState struct {
 }
 
 // capture builds a snapshot of the chain at the boundary before sweep
-// `next`. Everything is deep-copied: the caller may keep mutating the
-// chain while the snapshot is encoded.
+// `next`. The label field, mode counters and energy trace are borrowed,
+// not copied (see CheckpointPolicy.Sink): the snapshot is only valid
+// until the chain runs its next sweep.
 func (cs *chainState) capture(pol *CheckpointPolicy, next int) (*checkpoint.Snapshot, error) {
 	snap := &checkpoint.Snapshot{
 		Sweep:  next,
 		W:      cs.m.W,
 		H:      cs.m.H,
 		M:      cs.m.M,
-		Labels: append([]uint8(nil), cs.lm.Labels...),
+		Labels: cs.lm.Labels,
 		Chain:  cs.chain.State(),
+		Counts: cs.counts,
+		Energy: cs.energy,
 	}
 	if pol != nil {
 		snap.Fingerprint = pol.Fingerprint
@@ -89,12 +98,6 @@ func (cs *chainState) capture(pol *CheckpointPolicy, next int) (*checkpoint.Snap
 		for y, src := range cs.rowSrc {
 			snap.Rows[y] = src.State()
 		}
-	}
-	if cs.counts != nil {
-		snap.Counts = append([]uint32(nil), cs.counts...)
-	}
-	if cs.energy != nil {
-		snap.Energy = append([]float64(nil), cs.energy...)
 	}
 	if pol != nil && pol.Extra != nil {
 		if err := pol.Extra(snap); err != nil {

@@ -15,7 +15,8 @@ import (
 
 // captureAt runs the chain with a checkpoint policy and returns the
 // snapshot taken at the boundary before sweep `at` (captured every
-// sweep so any boundary is observable).
+// sweep so any boundary is observable). The sink keeps a Clone: the
+// snapshot it is handed borrows the live chain state.
 func captureAt(t *testing.T, m *mrf.Model, init *img.LabelMap, factory Factory, opt Options, seed uint64, at int) *checkpoint.Snapshot {
 	t.Helper()
 	var snap *checkpoint.Snapshot
@@ -23,7 +24,7 @@ func captureAt(t *testing.T, m *mrf.Model, init *img.LabelMap, factory Factory, 
 		EverySweeps: 1,
 		Sink: func(s *checkpoint.Snapshot) error {
 			if s.Sweep == at {
-				snap = s
+				snap = s.Clone()
 			}
 			return nil
 		},
@@ -160,7 +161,7 @@ func TestCancelReturnsPartialResultAndFinalCheckpoint(t *testing.T) {
 		Checkpoint: &CheckpointPolicy{
 			EverySweeps: 2,
 			Sink: func(s *checkpoint.Snapshot) error {
-				snaps = append(snaps, s)
+				snaps = append(snaps, s.Clone()) // s borrows the live chain
 				if len(snaps) == 1 {
 					cancel() // trip the context after the first durable snapshot
 				}

@@ -3,14 +3,17 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc64"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/obs"
 	"repro/internal/serve/migrate"
 )
@@ -71,6 +74,34 @@ func TestEventsStreamHeartbeat(t *testing.T) {
 // reruns the chain from sweep zero, and still produces the exact digest
 // of an uninterrupted run.
 func TestCorruptCheckpointRestartsFromScratch(t *testing.T) {
+	restartsFromScratch(t, "serve.ckpt.corrupt_dropped", checkpoint.ErrCorrupt, func(data []byte) {
+		data[len(data)/2] ^= 0x40 // one flipped bit mid-payload
+	})
+}
+
+// TestOldVersionCheckpointRestartsFromScratch pins the upgrade path: a
+// job drained by a build that wrote the previous snapshot format holds
+// a checksum-valid envelope of Version-1. The restarted server must
+// drop it and rerun the chain from sweep zero to the uninterrupted
+// run's digest, not fail the job for good.
+func TestOldVersionCheckpointRestartsFromScratch(t *testing.T) {
+	restartsFromScratch(t, "serve.ckpt.version_dropped", checkpoint.ErrVersion, func(data []byte) {
+		// Envelope layout: [8] magic, [4] version, ..., [8] CRC-64/ECMA
+		// trailer over everything before it. Re-stamp the version and
+		// re-sign, so only the version is wrong.
+		binary.LittleEndian.PutUint32(data[8:], checkpoint.Version-1)
+		body := data[:len(data)-8]
+		binary.LittleEndian.PutUint64(data[len(body):], crc64.Checksum(body, crc64.MakeTable(crc64.ECMA)))
+	})
+}
+
+// restartsFromScratch drains a job after its first durable snapshot,
+// damages the parked snapshot in place (damage must make Decode fail
+// with want), restarts the server on the same state, and requires the
+// job to finish with the golden digest after dropping the snapshot
+// (counted under counter) and retrying.
+func restartsFromScratch(t *testing.T, counter string, want error, damage func([]byte)) {
+	t.Helper()
 	spec := testSpec()
 	spec.Iterations = 400
 
@@ -113,24 +144,27 @@ func TestCorruptCheckpointRestartsFromScratch(t *testing.T) {
 	dcancel()
 	cancel1()
 
-	// Corrupt the parked snapshot: one flipped bit mid-payload.
+	// Damage the parked snapshot.
 	data, err := os.ReadFile(ckptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0x40
+	damage(data)
+	if _, err := checkpoint.Decode(data); !errors.Is(err, want) {
+		t.Fatalf("damaged snapshot decodes with %v, want %v", err, want)
+	}
 	if err := os.WriteFile(ckptPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// Run 2: recovery resumes the job, trips on the corrupt snapshot,
-	// and must converge to the golden digest anyway.
+	// Run 2: recovery resumes the job, trips on the snapshot, and must
+	// converge to the golden digest anyway.
 	cfg2 := cfg
 	cfg2.Recorder = obs.New()
 	s2 := startServer(t, cfg2)
 	st := waitTerminal(t, s2, id, 120*time.Second)
 	if st.State != StateDone {
-		t.Fatalf("after corrupt restart: %s (%s)", st.State, st.Error)
+		t.Fatalf("after restart: %s (%s)", st.State, st.Error)
 	}
 	if st.Sweeps != spec.Iterations {
 		t.Errorf("sweeps %d, want the full budget %d", st.Sweeps, spec.Iterations)
@@ -138,8 +172,8 @@ func TestCorruptCheckpointRestartsFromScratch(t *testing.T) {
 	if st.Digest != gst.Digest {
 		t.Errorf("digest %s != golden %s — restart-from-scratch is not clean", st.Digest, gst.Digest)
 	}
-	if got := counterValue(cfg2.Recorder, "serve.ckpt.corrupt_dropped"); got < 1 {
-		t.Errorf("serve.ckpt.corrupt_dropped = %d, want >= 1", got)
+	if got := counterValue(cfg2.Recorder, counter); got < 1 {
+		t.Errorf("%s = %d, want >= 1", counter, got)
 	}
 	if got := counterValue(cfg2.Recorder, "serve.retries"); got < 1 {
 		t.Errorf("serve.retries = %d, want >= 1", got)

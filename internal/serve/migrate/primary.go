@@ -101,13 +101,19 @@ func (p *Primary) Fenced() bool {
 }
 
 // Record enqueues a job-record frame.
-func (p *Primary) Record(id string, data []byte) { p.enqueue(replItem{kind: "record", job: id, data: data}) }
+func (p *Primary) Record(id string, data []byte) {
+	p.enqueue(replItem{kind: "record", job: id, data: data})
+}
 
 // Status enqueues a job-status frame.
-func (p *Primary) Status(id string, data []byte) { p.enqueue(replItem{kind: "status", job: id, data: data}) }
+func (p *Primary) Status(id string, data []byte) {
+	p.enqueue(replItem{kind: "status", job: id, data: data})
+}
 
 // Labels enqueues a terminal-labels frame.
-func (p *Primary) Labels(id string, data []byte) { p.enqueue(replItem{kind: "labels", job: id, data: data}) }
+func (p *Primary) Labels(id string, data []byte) {
+	p.enqueue(replItem{kind: "labels", job: id, data: data})
+}
 
 // Snapshot marks the job's chain snapshot dirty; the sender ships the
 // newest on-disk generation. Safe to call from checkpoint-save hooks —

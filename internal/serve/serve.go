@@ -920,7 +920,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	jitter := rng.New(s.cfg.BackoffSeed ^ (j.rec.Seq+1)*0x9e3779b97f4a7c15)
 	policy := s.cfg.Retry
 	policy.Permanent = append(append([]error(nil), policy.Permanent...),
-		core.ErrInvalidConfig, ErrInvalidSpec, checkpoint.ErrMismatch, checkpoint.ErrVersion)
+		core.ErrInvalidConfig, ErrInvalidSpec, checkpoint.ErrMismatch)
 
 	err := backoff.Do(ctx, policy, jitter, s.cfg.Sleep, func(ctx context.Context, attempt int) (aerr error) {
 		// A panicking attempt (hostile spec reaching an assertion, a bug
@@ -1125,16 +1125,23 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) error {
 
 // attemptFailed classifies an attempt error: permanent classes pass
 // straight through (backoff.Do stops on them), transient ones persist
-// the retry-wait state. A corrupt snapshot — external damage by the
-// checkpoint layer's contract — is cleared so the retry restarts the
-// chain from scratch.
+// the retry-wait state. A snapshot the chain cannot resume from — a
+// corrupt one (external damage by the checkpoint layer's contract) or
+// one written by another format version (a job parked across an
+// upgrade) — is cleared so the retry reruns the chain from sweep 0,
+// which reproduces the same digest because the chain is a pure
+// function of the spec.
 func (s *Server) attemptFailed(j *job, attempt int, err error) error {
-	if errors.Is(err, checkpoint.ErrCorrupt) {
+	switch {
+	case errors.Is(err, checkpoint.ErrCorrupt):
 		_ = os.Remove(s.store.CheckpointPath(j.rec.ID))
 		obs.Add(s.reg, "serve.ckpt.corrupt_dropped", 1)
+	case errors.Is(err, checkpoint.ErrVersion):
+		_ = os.Remove(s.store.CheckpointPath(j.rec.ID))
+		obs.Add(s.reg, "serve.ckpt.version_dropped", 1)
 	}
 	perm := errors.Is(err, core.ErrInvalidConfig) || errors.Is(err, ErrInvalidSpec) ||
-		errors.Is(err, checkpoint.ErrMismatch) || errors.Is(err, checkpoint.ErrVersion)
+		errors.Is(err, checkpoint.ErrMismatch)
 	if !perm {
 		obs.Add(s.reg, "serve.retries", 1)
 		s.persist(j, attempt, func(st *jobStatus) {
